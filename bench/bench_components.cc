@@ -404,7 +404,7 @@ benchTrace(int nodes, int ops_per_node)
     hdr.provenance = "bench";
     TraceWriter w(std::move(hdr));
     AddressMap map;
-    for (NodeId n = 0; n < nodes; ++n) {
+    for (NodeId n = 0; n < static_cast<NodeId>(nodes); ++n) {
         CommercialWorkload gen(n, nodes, map,
                                CommercialParams::oltp(), 100 + n);
         for (int i = 0; i < ops_per_node; ++i)

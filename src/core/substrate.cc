@@ -76,7 +76,41 @@ TokenAuditor::auditAll(std::string *err) const
         if (!auditBlock(a, err))
             return false;
     }
-    return true;
+    return auditHolders(err);
+}
+
+bool
+TokenAuditor::auditHolders(std::string *err) const
+{
+    if (!map_)
+        return true;
+    std::size_t lines = 0;
+    std::string bad;
+    for (const TokenHolder *h : holders_) {
+        h->forEachLine([&](NodeId id, Addr a) {
+            ++lines;
+            if (!bad.empty())
+                return;
+            if (h->tokensHeld(a) == 0) {
+                bad = strformat("%s holds a line for %#lx with no tokens",
+                                h->holderName().c_str(),
+                                static_cast<unsigned long>(a));
+            } else if (!map_->holds(a, id)) {
+                bad = strformat("holder map misses %s's line for %#lx",
+                                h->holderName().c_str(),
+                                static_cast<unsigned long>(a));
+            }
+        });
+    }
+    if (bad.empty() && lines != map_->entries()) {
+        bad = strformat("holder map lists %zu holders but the caches "
+                        "hold %zu lines", map_->entries(), lines);
+    }
+    if (bad.empty())
+        return true;
+    if (err)
+        *err = bad;
+    return false;
 }
 
 } // namespace tokensim

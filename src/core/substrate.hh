@@ -16,6 +16,7 @@
 #define TOKENSIM_CORE_SUBSTRATE_HH
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -23,6 +24,7 @@
 
 #include "core/token_state.hh"
 #include "mem/block_map.hh"
+#include "mem/holder_map.hh"
 #include "net/message.hh"
 #include "sim/types.hh"
 
@@ -61,6 +63,14 @@ class TokenHolder
 
     /** Identification for audit failure reports. */
     virtual std::string holderName() const = 0;
+
+    /** Apply @p fn(node, block) to every line in this component's
+     *  L2, keyed as in the holder map (memories hold none). */
+    virtual void
+    forEachLine(const std::function<void(NodeId, Addr)> &fn) const
+    {
+        (void)fn;
+    }
 };
 
 /**
@@ -69,7 +79,9 @@ class TokenHolder
  * Components report token sends and deliveries; holders register for
  * inspection. audit() then checks, for every touched block:
  *   sum(held by components) + in-flight == T, and
- *   exactly one owner token exists (held or in flight).
+ *   exactly one owner token exists (held or in flight);
+ * and, with a holder map attached, that the map lists exactly the
+ * caches' lines.
  */
 class TokenAuditor
 {
@@ -82,6 +94,9 @@ class TokenAuditor
 
     /** Register a cache or memory controller for inspection. */
     void addHolder(const TokenHolder *h) { holders_.push_back(h); }
+
+    /** Audit @p map against the registered holders' lines. */
+    void watchHolderMap(const HolderMap *map) { map_ = map; }
 
     /** Forget all in-flight and touched-block state; registered
      *  holders stay (the reusable-System path keeps controllers). */
@@ -133,9 +148,16 @@ class TokenAuditor
     /** Check one block; returns true if conserved. */
     bool auditBlock(Addr a, std::string *err = nullptr) const;
 
-    /** Check every touched block; false (and fills @p err) on the
-     *  first violation. */
+    /** Check every touched block, then the holder map; false (and
+     *  fills @p err) on the first violation. */
     bool auditAll(std::string *err = nullptr) const;
+
+    /**
+     * Check the watched holder map against a brute-force scan of
+     * every registered L2: each line holds tokens and is listed, and
+     * the map lists nothing else. True when no map is watched.
+     */
+    bool auditHolders(std::string *err = nullptr) const;
 
     const std::set<Addr> &touchedBlocks() const { return touched_; }
 
@@ -155,6 +177,7 @@ class TokenAuditor
     int t_;
     std::uint32_t blockBytes_;
     std::vector<const TokenHolder *> holders_;
+    const HolderMap *map_ = nullptr;
     BlockMap<Flight> inFlight_;
     std::set<Addr> touched_;
 };

@@ -35,7 +35,7 @@ TokenBCache::resetState(const ProtocolParams &params,
     assert(params.tokensPerBlock == params_.tokensPerBlock);
     params_ = params;
     rng_ = Rng(seed);
-    l2_.clear();
+    l2_.clear();   // System::reset clears the holder map to match
     // clear() parks value objects like erase() does; disarm any armed
     // reissue timers first (resetState may be driven directly, without
     // the queue-wide EventQueue::reset that would disarm them).
@@ -163,6 +163,12 @@ TokenBCache::handleTransient(const Message &msg)
 
     const Addr ba = msg.addr;
 
+    // State I (no line, hence no tokens): ignore all transient
+    // requests. Most copies of a broadcast land here, so the holder
+    // map answers it without probing the persistent table or the L2.
+    if (!ctx_.holders->holds(ba, id_))
+        return;
+
     // Active persistent requests override performance-protocol
     // policies: tokens for this block are committed to the starving
     // requester, so transient requests are ignored.
@@ -170,8 +176,7 @@ TokenBCache::handleTransient(const Message &msg)
         return;
 
     TokenLine *line = l2_.find(ba);
-    if (!line || line->tokens == 0)
-        return;   // state I: ignore all transient requests
+    assert(line && line->tokens > 0 && "holder map out of sync");
 
     const bool exclusive = msg.type == MsgType::getM;
     const NodeId req = msg.requester;
@@ -505,6 +510,7 @@ TokenBCache::allocLine(Addr addr)
     TokenLine *line = l2_.allocate(addr, &victim);
     if (victim.valid)
         evictVictim(victim.line);
+    ctx_.holders->add(addr, id_);
     return line;
 }
 
@@ -512,6 +518,7 @@ void
 TokenBCache::evictVictim(const TokenLine &victim)
 {
     ++stats_.evictions;
+    ctx_.holders->drop(victim.addr, id_);
     notifyLineRemoved(victim.addr);
     assert(victim.tokens > 0 && "token-less line survived in cache");
 
@@ -566,6 +573,7 @@ void
 TokenBCache::freeLine(TokenLine &line)
 {
     assert(line.tokens == 0);
+    ctx_.holders->drop(line.addr, id_);
     notifyLineRemoved(line.addr);
     l2_.invalidate(line.addr);
 }
@@ -607,6 +615,13 @@ std::string
 TokenBCache::holderName() const
 {
     return strformat("cache.%u", id_);
+}
+
+void
+TokenBCache::forEachLine(
+    const std::function<void(NodeId, Addr)> &fn) const
+{
+    l2_.forEachValid([&](const TokenLine &l) { fn(id_, l.addr); });
 }
 
 // =====================================================================
@@ -825,7 +840,7 @@ TokenBCache::functionalAlloc(Addr ba, FunctionalEnv &env)
     if (victim.valid) {
         const TokenLine &v = victim.line;
         assert(v.tokens > 0 && "token-less line survived in cache");
-        env.holders.drop(v.addr, id_);
+        ctx_.holders->drop(v.addr, id_);
         notifyLineRemoved(v.addr);
         // The eviction token message, delivered: the home absorbs the
         // tokens (data travels iff we own — invariant #4'). The home's
@@ -839,6 +854,7 @@ TokenBCache::functionalAlloc(Addr ba, FunctionalEnv &env)
         if (v.owner)
             mem->store_.write(v.addr, v.data);
     }
+    ctx_.holders->add(ba, id_);
     return line;
 }
 
@@ -874,21 +890,12 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
     // the resulting state is bit-identical to the full scans.
     const TokenCount memView = mem->tokenState(ba);
 
-    // When a scan is unavoidable, the env's holder index bounds it to
-    // the caches that actually hold the block. The probe order can
-    // differ from the full walk's, but the outcome cannot: GetS takes
-    // from the unique owner wherever it sits, and GetM drains every
-    // actual holder (conservation pins their token total), so the
-    // resulting state is bit-identical either way.
-    const auto holderView = [&] {
-        return env.holders.holders(ba, [&](auto &&push) {
-            for (std::size_t i = 0; i < env.caches.size(); ++i) {
-                if (static_cast<TokenBCache *>(env.caches[i])
-                        ->l2_.find(ba))
-                    push(static_cast<NodeId>(i));
-            }
-        });
-    };
+    // When a scan is unavoidable, the holder map bounds it to the
+    // caches that actually hold the block. The walk order is not a
+    // full scan's, but the outcome cannot differ: GetS takes from the
+    // unique owner wherever it sits, and GetM drains every actual
+    // holder (conservation pins their token total).
+    HolderMap &holders = *ctx_.holders;
 
     if (!is_store) {
         // GetS: the owner — a cache line holding the owner token, else
@@ -900,34 +907,18 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
         TokenBCache *ownerCache = nullptr;
         TokenLine *ownerLine = nullptr;
         if (!memView.owner) {
-            const HolderIndex::View hv = holderView();
-            if (!hv.overflow) {
-                for (unsigned i = 0; i < hv.n && !ownerLine; ++i) {
-                    if (hv.ids[i] == id_)
-                        continue;
-                    auto *tc = static_cast<TokenBCache *>(
-                        env.caches[hv.ids[i]]);
-                    TokenLine *l = tc->l2_.find(ba);
-                    assert(l && "holder index lists a cache with "
-                                "no line");
-                    if (l->owner) {
-                        ownerCache = tc;
-                        ownerLine = l;
-                    }
-                }
-            } else {
-                for (CacheController *c : env.caches) {
-                    if (c == this)
-                        continue;
-                    auto *tc = static_cast<TokenBCache *>(c);
-                    TokenLine *l = tc->l2_.find(ba);
-                    if (l && l->owner) {
-                        ownerCache = tc;
-                        ownerLine = l;
-                        break;
-                    }
-                }
-            }
+            holders.forEach(ba, [&](NodeId h) {
+                if (h == id_)
+                    return true;
+                auto *tc = static_cast<TokenBCache *>(env.caches[h]);
+                TokenLine *l = tc->l2_.find(ba);
+                assert(l && "holder map lists a cache with no line");
+                if (!l->owner)
+                    return true;
+                ownerCache = tc;
+                ownerLine = l;
+                return false;
+            });
             assert(ownerLine &&
                    "owner neither at home nor in any cache");
         }
@@ -947,10 +938,8 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             ownerLine->tokens -= gotTokens;
             if (gotOwner)
                 ownerLine->owner = false;
-            if (ownerLine->tokens == 0) {
-                env.holders.drop(ba, ownerCache->id_);
+            if (ownerLine->tokens == 0)
                 ownerCache->freeLine(*ownerLine);
-            }
         } else {
             TokenCount &tc = mem->tokensFor(ba);
             assert(tc.owner &&
@@ -962,7 +951,6 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             value = mem->store_.read(ba);
         }
         TokenLine *nl = line ? line : functionalAlloc(ba, env);
-        env.holders.add(ba, id_);
         nl->tokens += gotTokens;
         assert(nl->tokens <= t_);
         if (gotOwner) {
@@ -988,14 +976,12 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
     assert(inPeers >= 0);
     const auto gatherFrom = [&](TokenBCache *tc) {
         TokenLine *l = tc->l2_.find(ba);
-        if (!l)
-            return;
-        assert(l->tokens > 0);
+        assert(l && l->tokens > 0 && "holder map lists a cache with "
+                                     "no tokens");
         const int n = l->tokens;
         const bool owner = l->owner;
         l->tokens = 0;
         l->owner = false;
-        env.holders.drop(ba, tc->id_);
         tc->freeLine(*l);
         TokenLine *nl = line ? line : functionalAlloc(ba, env);
         line = nl;
@@ -1007,24 +993,12 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
         }
     };
     if (inPeers > 0) {
-        const HolderIndex::View hv = holderView();
-        if (!hv.overflow) {
-            for (unsigned i = 0; i < hv.n && inPeers > 0; ++i) {
-                if (hv.ids[i] == id_)
-                    continue;
-                gatherFrom(static_cast<TokenBCache *>(
-                    env.caches[hv.ids[i]]));
-            }
-            assert(inPeers == 0);
-        } else {
-            for (CacheController *c : env.caches) {
-                if (inPeers == 0)
-                    break;
-                if (c == this)
-                    continue;
-                gatherFrom(static_cast<TokenBCache *>(c));
-            }
-        }
+        holders.forEach(ba, [&](NodeId h) {
+            if (h != id_)
+                gatherFrom(static_cast<TokenBCache *>(env.caches[h]));
+            return inPeers > 0;
+        });
+        assert(inPeers == 0);
     }
     {
         TokenCount &tc = mem->tokensFor(ba);
@@ -1041,7 +1015,6 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             }
         }
     }
-    env.holders.add(ba, id_);
     assert(line && line->tokens == t_ && line->owner &&
            "store gathered fewer than T tokens");
     line->validData = true;
@@ -1111,6 +1084,7 @@ TokenBCache::decodeWarmState(WireReader &r)
         l->validData = validData;
         l->dirty = dirty;
         l->data = data;
+        ctx_.holders->add(addr, id_);
         if (auditor_)
             auditor_->touch(addr);
     }

@@ -93,6 +93,8 @@ class TokenBCache : public CacheController, public TokenHolder
     int tokensHeld(Addr block_addr) const override;
     bool ownerHeld(Addr block_addr) const override;
     std::string holderName() const override;
+    void forEachLine(
+        const std::function<void(NodeId, Addr)> &fn) const override;
 
     /** Tokens per block, T. */
     int tokensPerBlock() const { return t_; }

@@ -15,7 +15,7 @@
 namespace tokensim {
 
 System::System(const SystemConfig &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), holders_(cfg.numNodes)
 {
     if (cfg_.numNodes < 1)
         throw std::invalid_argument("system needs at least one node");
@@ -34,6 +34,7 @@ System::System(const SystemConfig &cfg)
 
     ctx_.eq = &eq_;
     ctx_.net = net_.get();
+    ctx_.holders = &holders_;
     ctx_.numNodes = cfg_.numNodes;
     ctx_.blockBytes = cfg_.blockBytes;
     ctx_.ctrlLatency = cfg_.ctrlLatency;
@@ -44,6 +45,7 @@ System::System(const SystemConfig &cfg)
         const int t = cfg_.proto.tokensPerBlock > 0
             ? cfg_.proto.tokensPerBlock : cfg_.numNodes;
         auditor_ = std::make_unique<TokenAuditor>(t, cfg_.blockBytes);
+        auditor_->watchHolderMap(&holders_);
     }
 
     addrMap_.blockBytes = cfg_.blockBytes;
@@ -138,6 +140,7 @@ System::reset(const SystemConfig &cfg, bool trust_factory)
 
     eq_.reset();
     net_->reset(cfg_.net);
+    holders_.clear();
     if (auditor_)
         auditor_->reset();
     measureStart_ = 0;

@@ -513,6 +513,9 @@ class System
     EventQueue eq_;
     std::unique_ptr<Network> net_;
     ProtoContext ctx_;
+    /** Which caches hold each block; the token caches keep it exact
+     *  and reach it through ctx_.holders. */
+    HolderMap holders_;
     std::unique_ptr<TokenAuditor> auditor_;
     AddressMap addrMap_;
     std::unique_ptr<WorkloadFactory> wlFactory_;

@@ -3,9 +3,9 @@
  * ProtoContext: the environment a protocol controller runs in.
  *
  * Gathers the services every controller needs — the event queue, the
- * network, the address-to-home mapping, and the latency parameters of
- * Table 1 — so controller constructors stay small and protocols remain
- * independent of the harness.
+ * network, the block holder map, the address-to-home mapping, and the
+ * latency parameters of Table 1 — so controller constructors stay
+ * small and protocols remain independent of the harness.
  */
 
 #ifndef TOKENSIM_PROTO_CONTEXT_HH
@@ -13,6 +13,7 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "mem/holder_map.hh"
 #include "net/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -24,6 +25,10 @@ struct ProtoContext
 {
     EventQueue *eq = nullptr;
     Network *net = nullptr;
+
+    /** Which caches hold each block (owned by the System; kept exact
+     *  by the token caches, empty under every other protocol). */
+    HolderMap *holders = nullptr;
 
     int numNodes = 16;
     std::uint32_t blockBytes = 64;

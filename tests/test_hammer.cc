@@ -78,6 +78,8 @@ TEST(Hammer, MigratoryTransfer)
     ProtoDriver d(hammerConfig());
     d.store(1, kBlock, 0xaa);
     const ProcResponse r = d.load(3, kBlock);
+    EXPECT_EQ(r.value, 0xaau);
+    EXPECT_TRUE(r.cacheToCache);
     EXPECT_EQ(hcache(d, 3).state(kBlock), HammerState::M);
     EXPECT_EQ(hcache(d, 1).state(kBlock), HammerState::I);
     EXPECT_FALSE(d.store(3, kBlock, 0xbb).wasMiss);
@@ -106,8 +108,9 @@ TEST(Hammer, StoreInvalidatesSharers)
         d.load(n, kBlock);
     d.store(2, kBlock, 0x55);
     for (NodeId n = 0; n < 4; ++n) {
-        if (n != 2)
+        if (n != 2) {
             EXPECT_EQ(hcache(d, n).state(kBlock), HammerState::I);
+        }
     }
     EXPECT_EQ(d.load(0, kBlock).value, 0x55u);
 }

@@ -124,8 +124,9 @@ TEST(Snooping, GetMInvalidatesSharers)
         d.load(n, kBlock);
     d.store(2, kBlock, 0x5555);
     for (NodeId n = 0; n < 4; ++n) {
-        if (n != 2)
+        if (n != 2) {
             EXPECT_EQ(scache(d, n).state(kBlock), SnoopState::I);
+        }
     }
     EXPECT_EQ(d.load(1, kBlock).value, 0x5555u);
 }

@@ -657,7 +657,7 @@ TEST(WireFrames, HelloIdentityRoundTrips)
     // The v3 hello carries the worker's identity ("host:pid"); it
     // must survive the codec byte for byte, including empty and
     // awkward (spaces, colons, UTF-8-ish bytes) values.
-    for (const std::string id :
+    for (const std::string &id :
          {std::string(), std::string("host:12345"),
           std::string("a b\tc:99"), std::string("\xc3\xa9:1"),
           std::string(maxHelloIdentity, 'x')}) {

@@ -54,8 +54,9 @@ TEST(Zipf, AliasTableMatchesClosedFormWeights)
     double total = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
         EXPECT_GT(z.weight(k), 0.0);
-        if (k > 0)
+        if (k > 0) {
             EXPECT_LT(z.weight(k), z.weight(k - 1));
+        }
         total += z.weight(k);
     }
     EXPECT_NEAR(total, 1.0, 1e-9);
