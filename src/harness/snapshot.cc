@@ -10,17 +10,6 @@ namespace tokensim {
 
 namespace {
 
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 /** Header fields after the magic/version prefix. */
 SnapshotHeader
 readHeader(WireReader &r)
@@ -56,36 +45,10 @@ snapshotShapeFingerprint(const SystemConfig &cfg)
             "a custom workload factory has no fingerprintable "
             "identity; snapshots need a preset or trace workload");
     }
-    // Hash over a canonical encoding of the bound fields. The
-    // structural set matches System::reset()'s sameShape(); workload
-    // spec and seed are added because the snapshot's progress is
+    // The shape fields match System::reset()'s; the warm ones add
+    // workload, tenants and seed, because the snapshot's progress is
     // meaningful only within these exact op streams.
-    WireWriter w;
-    w.varint(static_cast<std::uint64_t>(cfg.numNodes));
-    w.str(cfg.topology);
-    w.u8(static_cast<std::uint8_t>(cfg.protocol));
-    w.varint(static_cast<std::uint64_t>(cfg.proto.tokensPerBlock));
-    w.varint(static_cast<std::uint64_t>(cfg.proto.predictorEntries));
-    w.varint(cfg.l2.sizeBytes);
-    w.varint(cfg.l2.assoc);
-    w.varint(cfg.l2.blockBytes);
-    w.varint(cfg.seq.l1.sizeBytes);
-    w.varint(cfg.seq.l1.assoc);
-    w.varint(cfg.seq.l1.blockBytes);
-    w.boolean(cfg.seq.l1Enabled);
-    w.varint(cfg.blockBytes);
-    w.boolean(cfg.attachAuditor);
-    encodeWorkloadSpec(w, cfg.workload);
-    // The tenant list defines the op streams just as the single-tenant
-    // spec does: a snapshot saved under one tenant layout must not
-    // restore under another.
-    w.varint(cfg.tenants.size());
-    for (const TenantSpec &t : cfg.tenants) {
-        encodeWorkloadSpec(w, t.workload);
-        w.varint(static_cast<std::uint64_t>(t.nodes));
-    }
-    w.varint(cfg.seed);
-    return fnv1a(w.buffer());
+    return fnv1a(encodeBoundFields(cfg, Bind::warm));
 }
 
 SnapshotHeader

@@ -15,8 +15,9 @@
  * controller latency, think time) are free: that axis is exactly what
  * a sweep varies, and reusing one warm snapshot across it is the
  * wall-clock win. The binding is enforced by a fingerprint in the
- * header; a mismatch is a typed SnapshotError, never a silent
- * misparse.
+ * header over the Bind::shape and Bind::warm fields of the
+ * SystemConfig table (harness/config_fields.hh); a mismatch is a
+ * typed SnapshotError, never a silent misparse.
  *
  * Wire discipline is the repo standard (sim/bytes.hh): versioned,
  * bounds-checked, typed errors naming the field, struct-end sentinels,
@@ -68,9 +69,11 @@ class SnapshotError : public std::runtime_error
 constexpr char snapshotMagic[8] = {'T', 'O', 'K', 'S', 'N', 'A',
                                    'P', '1'};
 
-/** Bumped on any change to the snapshot layout or any controller's
- *  warm-state encoding. */
-constexpr std::uint8_t snapshotVersion = 1;
+/** Bumped on any change to the snapshot layout, the fingerprint, or
+ *  any controller's warm-state encoding. */
+// v2: the fingerprint hashes the shape and warm fields of the
+//     SystemConfig table (harness/config_fields.hh).
+constexpr std::uint8_t snapshotVersion = 2;
 
 /**
  * FNV-1a fingerprint of everything a snapshot binds to (see file

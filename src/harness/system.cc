@@ -8,6 +8,7 @@
 #include "core/ext/tokenm.hh"
 #include "core/tokenb.hh"
 #include "harness/snapshot.hh"
+#include "harness/wire.hh"
 #include "proto/directory/directory.hh"
 #include "proto/hammer/hammer.hh"
 #include "proto/snooping/snooping.hh"
@@ -85,22 +86,12 @@ System::detailedOpBudget() const
 
 namespace {
 
-/** Equal cache geometry; latency is a runtime knob (read via ctx). */
-bool
-sameCacheGeometry(const CacheParams &a, const CacheParams &b)
-{
-    return a.sizeBytes == b.sizeBytes && a.assoc == b.assoc &&
-        a.blockBytes == b.blockBytes;
-}
-
 /**
  * True if @p b describes a system with the same structural shape as
  * @p a: only what is baked into the constructed component graph must
- * match — node count, topology, protocol (controller types), cache
- * geometry, token count (sized into the auditor and controllers),
- * and predictor table size. Every other knob (seed, op budgets,
- * workload selection, network/DRAM timing, reissue policy, maxTicks)
- * is runtime state that reset() reapplies.
+ * match, which is the Bind::shape fields of the SystemConfig table
+ * (harness/config_fields.hh). Every other knob is runtime state that
+ * reset() reapplies.
  */
 bool
 sameShape(const SystemConfig &a, const SystemConfig &b,
@@ -111,14 +102,8 @@ sameShape(const SystemConfig &a, const SystemConfig &b,
     if (static_cast<bool>(a.workloadFactory) !=
         static_cast<bool>(b.workloadFactory))
         return false;
-    return a.numNodes == b.numNodes && a.topology == b.topology &&
-        a.protocol == b.protocol &&
-        a.proto.tokensPerBlock == b.proto.tokensPerBlock &&
-        a.proto.predictorEntries == b.proto.predictorEntries &&
-        sameCacheGeometry(a.l2, b.l2) &&
-        sameCacheGeometry(a.seq.l1, b.seq.l1) &&
-        a.blockBytes == b.blockBytes &&
-        a.attachAuditor == b.attachAuditor;
+    return encodeBoundFields(a, Bind::shape) ==
+        encodeBoundFields(b, Bind::shape);
 }
 
 } // namespace

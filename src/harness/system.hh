@@ -72,11 +72,8 @@ struct TenantSpec
      *  declaration order and must sum to SystemConfig::numNodes. */
     int nodes = 0;
 
-    friend bool
-    operator==(const TenantSpec &a, const TenantSpec &b)
-    {
-        return a.workload == b.workload && a.nodes == b.nodes;
-    }
+    /** Equal wire encodings (harness/wire.cc), like WorkloadSpec. */
+    friend bool operator==(const TenantSpec &a, const TenantSpec &b);
     friend bool
     operator!=(const TenantSpec &a, const TenantSpec &b)
     {
@@ -259,10 +256,9 @@ class System
      * per-shard construction cost drops to a state wipe.
      *
      * Only possible when @p cfg has the same structural shape as the
-     * config this System was built with (same node count, topology,
-     * protocol and its parameters, cache/network/DRAM geometry);
-     * runtime knobs (seed, op counts, workload preset) may differ
-     * freely. @p trust_factory says the caller guarantees
+     * config this System was built with: equal Bind::shape fields in
+     * the SystemConfig table (harness/config_fields.hh). Every other
+     * knob may differ freely. @p trust_factory says the caller guarantees
      * cfg.workloadFactory is the same factory this System already
      * uses (std::function is not comparable); the runner passes true
      * when reusing within one spec.

@@ -1,275 +1,205 @@
 #include "harness/wire.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <type_traits>
 
 namespace tokensim {
 
 // WireWriter / WireReader / struct-end sentinel moved to sim/bytes.cc.
 
 // ---------------------------------------------------------------------
-// Struct encodings
+// Struct encodings, derived from the field tables
+// (harness/config_fields.hh): one put/get pair walks any config value,
+// dispatching on the field type.
 // ---------------------------------------------------------------------
-
-// Layout-skew sentinel: adding a field to WorkloadSpec changes its
-// size, which fails this assert until the new field is added to
-// encodeWorkloadSpec/decodeWorkloadSpec, operator==, and wireVersion
-// is bumped. Guarded to the one ABI the sentinel value was computed
-// for — other ABIs still have the operator== doc contract and the
-// exhaustive wire round-trip tests.
-#if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(WorkloadSpec) == 168,
-              "WorkloadSpec layout changed: update encodeWorkloadSpec/"
-              "decodeWorkloadSpec, WorkloadSpec::operator==, bump "
-              "wireVersion, then refresh this sentinel");
-#endif
-
-void
-encodeWorkloadSpec(WireWriter &w, const WorkloadSpec &spec)
-{
-    w.str(spec.preset);
-    w.str(spec.tracePath);
-    w.varint(spec.uniformBlocks);
-    w.f64(spec.storeFraction);
-    w.varint(spec.prodConsBlocks);
-    w.varint(spec.lockBlocks);
-    w.svarint(spec.sectionOps);
-    w.varint(spec.ycsbRecords);
-    w.f64(spec.ycsbTheta);
-    w.f64(spec.ycsbReadFraction);
-    w.f64(spec.ycsbUpdateFraction);
-    w.svarint(spec.ycsbScanLen);
-    w.varint(spec.tpccWarehouses);
-    w.f64(spec.tpccHomeFraction);
-    w.svarint(spec.tpccOpsPerTxn);
-    w.svarint(spec.tpccThinkOps);
-    putStructEnd(w);
-}
-
-WorkloadSpec
-decodeWorkloadSpec(WireReader &r)
-{
-    WorkloadSpec spec;
-    spec.preset = r.str("workload preset");
-    spec.tracePath = r.str("workload trace path");
-    spec.uniformBlocks = r.varint("workload uniformBlocks");
-    spec.storeFraction = r.f64("workload storeFraction");
-    spec.prodConsBlocks = r.varint("workload prodConsBlocks");
-    spec.lockBlocks = r.varint("workload lockBlocks");
-    spec.sectionOps = static_cast<int>(r.svarint("workload sectionOps"));
-    spec.ycsbRecords = r.varint("workload ycsbRecords");
-    spec.ycsbTheta = r.f64("workload ycsbTheta");
-    spec.ycsbReadFraction = r.f64("workload ycsbReadFraction");
-    spec.ycsbUpdateFraction = r.f64("workload ycsbUpdateFraction");
-    spec.ycsbScanLen =
-        static_cast<int>(r.svarint("workload ycsbScanLen"));
-    spec.tpccWarehouses = r.varint("workload tpccWarehouses");
-    spec.tpccHomeFraction = r.f64("workload tpccHomeFraction");
-    spec.tpccOpsPerTxn =
-        static_cast<int>(r.svarint("workload tpccOpsPerTxn"));
-    spec.tpccThinkOps =
-        static_cast<int>(r.svarint("workload tpccThinkOps"));
-    checkStructEnd(r, "workload spec");
-    return spec;
-}
 
 namespace {
 
+using Blob = std::shared_ptr<const std::string>;
+
+template <class T>
+constexpr bool isList = false;
+template <class T>
+constexpr bool isList<std::vector<T>> = true;
+
+/** Structs that end with the struct-end sentinel. */
+template <class T>
+constexpr bool isFramed = std::is_same_v<T, WorkloadSpec> ||
+    std::is_same_v<T, SystemConfig> || std::is_same_v<T, ExperimentSpec>;
+
+/**
+ * Encodes @p v, held by a field tagged @p tag (a root value counts as
+ * Bind::shape), keeping only what binds at least as tightly as
+ * @p loosest; Bind::free keeps everything, which is the wire encoding.
+ */
+template <class T>
 void
-encodeCacheParams(WireWriter &w, const CacheParams &c)
+put(WireWriter &w, const T &v, Bind loosest = Bind::free,
+    Bind tag = Bind::shape)
 {
-    w.varint(c.sizeBytes);
-    w.varint(c.assoc);
-    w.varint(c.blockBytes);
-    w.varint(c.latency);
+    if (tag > loosest)
+        return;
+    if constexpr (std::is_same_v<T, bool>) {
+        w.boolean(v);
+    } else if constexpr (std::is_same_v<T, int>) {
+        w.svarint(v);
+    } else if constexpr (std::is_unsigned_v<T>) {
+        w.varint(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        w.f64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        w.str(v);
+    } else if constexpr (std::is_same_v<T, ProtocolKind>) {
+        w.u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, Blob>) {
+        static const std::string none;   // absent == empty on the wire
+        w.str(v ? *v : none);
+    } else if constexpr (isList<T>) {
+        w.varint(v.size());
+        for (const auto &e : v)
+            put(w, e, loosest, tag);
+    } else {
+        visitFields(v, [&](const char *, Bind b, const auto &f) {
+            put(w, f, loosest, std::max(tag, b));
+        });
+        if constexpr (isFramed<T>)
+            putStructEnd(w);
+    }
 }
 
-CacheParams
-decodeCacheParams(WireReader &r, const char *what)
+[[noreturn]] void
+outOfRange(const char *what, const std::string &value)
 {
-    CacheParams c;
-    c.sizeBytes = r.varint(what);
-    c.assoc = static_cast<std::uint32_t>(r.varint(what));
-    c.blockBytes = static_cast<std::uint32_t>(r.varint(what));
-    c.latency = r.varint(what);
-    return c;
+    throw WireError(std::string(what) + ": " + value +
+                    " out of range for its field type");
 }
 
-} // namespace
+/** Decodes @p v, naming its fields "<what>.<field>" in errors. */
+template <class T>
+void
+get(WireReader &r, const char *what, T &v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        v = r.boolean(what);
+    } else if constexpr (std::is_same_v<T, int>) {
+        const std::int64_t x = r.svarint(what);
+        if (x < std::numeric_limits<int>::min() ||
+            x > std::numeric_limits<int>::max())
+            outOfRange(what, std::to_string(x));
+        v = static_cast<int>(x);
+    } else if constexpr (std::is_unsigned_v<T>) {
+        const std::uint64_t x = r.varint(what);
+        if constexpr (sizeof(T) < sizeof x) {
+            if (x > std::numeric_limits<T>::max())
+                outOfRange(what, std::to_string(x));
+        }
+        v = static_cast<T>(x);
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = r.f64(what);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        v = r.str(what);
+    } else if constexpr (std::is_same_v<T, ProtocolKind>) {
+        const std::uint8_t b = r.u8(what);
+        if (b > static_cast<std::uint8_t>(ProtocolKind::tokenNull))
+            outOfRange(what, "byte " + std::to_string(b));
+        v = static_cast<ProtocolKind>(b);
+    } else if constexpr (std::is_same_v<T, Blob>) {
+        std::string bytes = r.str(what);
+        if (!bytes.empty())
+            v = std::make_shared<const std::string>(std::move(bytes));
+    } else if constexpr (isList<T>) {   // the tenant list
+        const std::uint64_t n = r.varint(what);
+        if (n > maxWireTenants) {
+            throw WireError(std::string(what) + ": count " +
+                            std::to_string(n) + " exceeds limit " +
+                            std::to_string(maxWireTenants));
+        }
+        v.resize(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const std::string elem =
+                std::string(what) + "[" + std::to_string(i) + "]";
+            get(r, elem.c_str(), v[i]);
+        }
+    } else {
+        visitFields(v, [&](const char *name, Bind, auto &f) {
+            const std::string field =
+                *what ? std::string(what) + "." + name : name;
+            get(r, field.c_str(), f);
+        });
+        if constexpr (isFramed<T>)
+            checkStructEnd(r, *what ? what : "struct");
+    }
+}
+
+template <class T>
+std::string
+encoded(const T &v, Bind loosest = Bind::free)
+{
+    WireWriter w;
+    put(w, v, loosest);
+    return w.take();
+}
 
 void
-encodeSystemConfig(WireWriter &w, const SystemConfig &cfg)
+rejectCustomFactory(const SystemConfig &cfg)
 {
     if (cfg.workloadFactory) {
         throw WireError("cannot serialize a SystemConfig with a "
                         "custom workloadFactory (a std::function "
                         "does not cross a process boundary)");
     }
+}
 
-    w.svarint(cfg.numNodes);
-    w.str(cfg.topology);
-    w.u8(static_cast<std::uint8_t>(cfg.protocol));
+} // namespace
 
-    const ProtocolParams &p = cfg.proto;
-    w.boolean(p.migratoryOpt);
-    w.svarint(p.tokensPerBlock);
-    w.svarint(p.maxReissues);
-    w.f64(p.reissueLatencyMultiple);
-    w.f64(p.reissueJitter);
-    w.varint(p.initialAvgMissLatency);
-    w.varint(p.maxReissueTimeout);
-    w.boolean(p.reissueEnabled);
-    w.f64(p.chaosDropFraction);
-    w.f64(p.chaosMisdirectFraction);
-    w.boolean(p.perfectDirectory);
-    w.varint(p.predictorEntries);
-    w.f64(p.adaptiveThreshold);
-    w.varint(p.adaptiveWindow);
+bool
+operator==(const WorkloadSpec &a, const WorkloadSpec &b)
+{
+    return encoded(a) == encoded(b);
+}
 
-    const NetworkParams &n = cfg.net;
-    w.varint(n.linkLatency);
-    w.f64(n.bytesPerNs);
-    w.boolean(n.unlimitedBandwidth);
-    w.varint(n.ctrlBytes);
-    w.varint(n.dataBytes);
-    w.varint(n.localDelay);
+bool
+operator==(const TenantSpec &a, const TenantSpec &b)
+{
+    return encoded(a) == encoded(b);
+}
 
-    const SequencerParams &s = cfg.seq;
-    w.svarint(s.maxOutstanding);
-    w.varint(s.thinkMean);
-    encodeCacheParams(w, s.l1);
-    w.boolean(s.l1Enabled);
+std::string
+encodeBoundFields(const SystemConfig &cfg, Bind loosest)
+{
+    return encoded(cfg, loosest);
+}
 
-    encodeCacheParams(w, cfg.l2);
-    w.varint(cfg.dram.latency);
-    w.varint(cfg.dram.minGap);
-    w.varint(cfg.ctrlLatency);
-    w.varint(cfg.blockBytes);
-
-    encodeWorkloadSpec(w, cfg.workload);
-    w.str(cfg.recordTrace);
-    w.varint(cfg.opsPerProcessor);
-    w.varint(cfg.warmupOpsPerProcessor);
-    w.varint(cfg.seed);
-    w.boolean(cfg.attachAuditor);
-    w.varint(cfg.maxTicks);
-
-    w.varint(cfg.sampling.ffOps);
-    w.varint(cfg.sampling.measureOps);
-    w.varint(cfg.sampling.windows);
-    // A snapshot rides along as an opaque blob; shards validate its
-    // shape fingerprint themselves when they load it.
-    w.str(cfg.warmSnapshot ? *cfg.warmSnapshot : std::string());
-
-    w.varint(cfg.tenants.size());
-    for (const TenantSpec &t : cfg.tenants) {
-        encodeWorkloadSpec(w, t.workload);
-        w.svarint(t.nodes);
-    }
-    putStructEnd(w);
+void
+encodeSystemConfig(WireWriter &w, const SystemConfig &cfg)
+{
+    rejectCustomFactory(cfg);
+    put(w, cfg);
 }
 
 SystemConfig
 decodeSystemConfig(WireReader &r)
 {
     SystemConfig cfg;
-    cfg.numNodes = static_cast<int>(r.svarint("numNodes"));
-    cfg.topology = r.str("topology");
-    const std::uint8_t proto_byte = r.u8("protocol");
-    if (proto_byte > static_cast<std::uint8_t>(ProtocolKind::tokenNull)) {
-        throw WireError("protocol byte " + std::to_string(proto_byte) +
-                        " out of range");
-    }
-    cfg.protocol = static_cast<ProtocolKind>(proto_byte);
-
-    ProtocolParams &p = cfg.proto;
-    p.migratoryOpt = r.boolean("migratoryOpt");
-    p.tokensPerBlock = static_cast<int>(r.svarint("tokensPerBlock"));
-    p.maxReissues = static_cast<int>(r.svarint("maxReissues"));
-    p.reissueLatencyMultiple = r.f64("reissueLatencyMultiple");
-    p.reissueJitter = r.f64("reissueJitter");
-    p.initialAvgMissLatency = r.varint("initialAvgMissLatency");
-    p.maxReissueTimeout = r.varint("maxReissueTimeout");
-    p.reissueEnabled = r.boolean("reissueEnabled");
-    p.chaosDropFraction = r.f64("chaosDropFraction");
-    p.chaosMisdirectFraction = r.f64("chaosMisdirectFraction");
-    p.perfectDirectory = r.boolean("perfectDirectory");
-    p.predictorEntries =
-        static_cast<std::uint32_t>(r.varint("predictorEntries"));
-    p.adaptiveThreshold = r.f64("adaptiveThreshold");
-    p.adaptiveWindow = r.varint("adaptiveWindow");
-
-    NetworkParams &n = cfg.net;
-    n.linkLatency = r.varint("linkLatency");
-    n.bytesPerNs = r.f64("bytesPerNs");
-    n.unlimitedBandwidth = r.boolean("unlimitedBandwidth");
-    n.ctrlBytes = static_cast<std::uint32_t>(r.varint("ctrlBytes"));
-    n.dataBytes = static_cast<std::uint32_t>(r.varint("dataBytes"));
-    n.localDelay = r.varint("localDelay");
-
-    SequencerParams &s = cfg.seq;
-    s.maxOutstanding = static_cast<int>(r.svarint("maxOutstanding"));
-    s.thinkMean = r.varint("thinkMean");
-    s.l1 = decodeCacheParams(r, "l1 geometry");
-    s.l1Enabled = r.boolean("l1Enabled");
-
-    cfg.l2 = decodeCacheParams(r, "l2 geometry");
-    cfg.dram.latency = r.varint("dram latency");
-    cfg.dram.minGap = r.varint("dram minGap");
-    cfg.ctrlLatency = r.varint("ctrlLatency");
-    cfg.blockBytes = static_cast<std::uint32_t>(r.varint("blockBytes"));
-
-    cfg.workload = decodeWorkloadSpec(r);
-    cfg.recordTrace = r.str("recordTrace");
-    cfg.opsPerProcessor = r.varint("opsPerProcessor");
-    cfg.warmupOpsPerProcessor = r.varint("warmupOpsPerProcessor");
-    cfg.seed = r.varint("seed");
-    cfg.attachAuditor = r.boolean("attachAuditor");
-    cfg.maxTicks = r.varint("maxTicks");
-
-    cfg.sampling.ffOps = r.varint("sampling ffOps");
-    cfg.sampling.measureOps = r.varint("sampling measureOps");
-    cfg.sampling.windows = r.varint("sampling windows");
-    std::string snap = r.str("warm snapshot");
-    if (!snap.empty()) {
-        cfg.warmSnapshot =
-            std::make_shared<const std::string>(std::move(snap));
-    }
-
-    const std::uint64_t num_tenants = r.varint("tenant count");
-    if (num_tenants > maxWireTenants) {
-        throw WireError("tenant count " + std::to_string(num_tenants) +
-                        " exceeds limit " +
-                        std::to_string(maxWireTenants));
-    }
-    cfg.tenants.reserve(num_tenants);
-    for (std::uint64_t i = 0; i < num_tenants; ++i) {
-        TenantSpec t;
-        t.workload = decodeWorkloadSpec(r);
-        t.nodes = static_cast<int>(r.svarint("tenant nodes"));
-        cfg.tenants.push_back(std::move(t));
-    }
-    checkStructEnd(r, "system config");
+    get(r, "", cfg);
     return cfg;
 }
 
 void
 encodeExperimentSpec(WireWriter &w, const ExperimentSpec &spec)
 {
-    encodeSystemConfig(w, spec.cfg);
-    w.svarint(spec.seeds);
-    w.str(spec.label);
-    putStructEnd(w);
+    rejectCustomFactory(spec.cfg);
+    put(w, spec);
 }
 
 ExperimentSpec
 decodeExperimentSpec(WireReader &r)
 {
     ExperimentSpec spec;
-    spec.cfg = decodeSystemConfig(r);
-    spec.seeds = static_cast<int>(r.svarint("spec seeds"));
-    spec.label = r.str("spec label");
-    checkStructEnd(r, "experiment spec");
+    get(r, "", spec);
     return spec;
 }
 
@@ -417,6 +347,37 @@ appendFrame(std::string &out, FrameType type,
     out += payload;
 }
 
+namespace {
+
+/**
+ * Reads the length varint of a streamed frame or record at @p at.
+ * Returns false if the buffer ends inside it (incomplete: wait for
+ * more bytes); a varint that can never terminate validly, or a length
+ * past maxFramePayload, throws — the sender is broken, not slow.
+ */
+bool
+tryReadLength(const std::string &buf, std::size_t &at, std::uint64_t &len,
+              const char *what)
+{
+    switch (getVarint(reinterpret_cast<const unsigned char *>(buf.data()),
+                      buf.size(), at, len)) {
+      case VarintStatus::ok:
+        break;
+      case VarintStatus::truncated:
+        return false;
+      case VarintStatus::overflow:
+        throw WireError(std::string(what) +
+                        " length varint overflows 64 bits");
+    }
+    if (len > maxFramePayload) {
+        throw WireError(std::string(what) + " length " +
+                        std::to_string(len) + " exceeds the cap");
+    }
+    return true;
+}
+
+} // namespace
+
 bool
 tryExtractFrame(const std::string &buf, std::size_t &pos, Frame &out)
 {
@@ -431,28 +392,10 @@ tryExtractFrame(const std::string &buf, std::size_t &pos, Frame &out)
                         std::to_string(type_byte));
     }
 
-    // Parse the length varint by hand: running out of buffer here
-    // means "incomplete frame, wait for more bytes" — only a varint
-    // that can never terminate validly is an error.
     std::uint64_t len = 0;
-    int shift = 0;
     std::size_t at = pos + 1;
-    for (;;) {
-        if (at >= buf.size())
-            return false;
-        const auto b = static_cast<unsigned char>(buf[at++]);
-        if (shift >= 63 && ((b & 0x7f) > 1 || (b & 0x80)))
-            throw WireError("frame length varint overflows 64 bits");
-        len |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            break;
-        shift += 7;
-    }
-    if (len > maxFramePayload) {
-        throw WireError("frame payload length " + std::to_string(len) +
-                        " exceeds the cap");
-    }
-    if (buf.size() - at < len)
+    if (!tryReadLength(buf, at, len, "frame payload") ||
+        buf.size() - at < len)
         return false;
     out.type = static_cast<FrameType>(type_byte);
     out.payload.assign(buf, at, static_cast<std::size_t>(len));
@@ -602,13 +545,7 @@ sweepFingerprint(const std::vector<ExperimentSpec> &specs)
     w.varint(specs.size());
     for (const ExperimentSpec &s : specs)
         encodeExperimentSpec(w, s);
-
-    std::uint64_t h = 1469598103934665603ull;   // FNV-1a 64 offset
-    for (const char c : w.buffer()) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;                  // FNV-1a 64 prime
-    }
-    return h;
+    return fnv1a(w.buffer());
 }
 
 std::string
@@ -689,31 +626,11 @@ bool
 tryExtractCheckpointRecord(const std::string &buf, std::size_t &pos,
                            CheckpointRecord &out)
 {
-    // Length varint by hand, exactly like tryExtractFrame: running
-    // out of buffer mid-varint is an incomplete (torn) record, not an
-    // error; only a varint that can never terminate validly throws.
     std::uint64_t len = 0;
-    int shift = 0;
     std::size_t at = pos;
-    for (;;) {
-        if (at >= buf.size())
-            return false;
-        const auto b = static_cast<unsigned char>(buf[at++]);
-        if (shift >= 63 && ((b & 0x7f) > 1 || (b & 0x80))) {
-            throw WireError(
-                "checkpoint record length varint overflows 64 bits");
-        }
-        len |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            break;
-        shift += 7;
-    }
-    if (len > maxFramePayload) {
-        throw WireError("checkpoint record length " +
-                        std::to_string(len) + " exceeds the cap");
-    }
-    if (buf.size() - at < len + 4)
-        return false;   // payload or CRC still incomplete: torn tail
+    if (!tryReadLength(buf, at, len, "checkpoint record") ||
+        buf.size() - at < len + 4)
+        return false;   // length, payload or CRC incomplete: torn tail
 
     const char *payload = buf.data() + at;
     const auto plen = static_cast<std::size_t>(len);

@@ -36,7 +36,8 @@
  * the transport is DistRunner's business, not the format's.
  *
  * Versioning: bump wireVersion whenever any encoded struct gains,
- * loses, or reorders a field. Struct payloads end with an
+ * loses, or reorders a field (the config structs' layouts are their
+ * field tables in harness/config_fields.hh). Struct payloads end with an
  * end-of-struct sentinel byte so a parent/worker skew inside one
  * version (a stale binary) is caught as a typed error instead of a
  * silent misparse.
@@ -64,6 +65,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "harness/config_fields.hh"
 #include "harness/experiment.hh"
 #include "sim/bytes.hh"
 
@@ -95,12 +97,12 @@ constexpr std::uint64_t maxFramePayload = 1ull << 30;
 constexpr std::uint64_t maxWireTenants = 1 << 16;
 
 // ---------------------------------------------------------------------
-// Struct encodings. Each encode/decode pair must consume exactly what
-// the other produced; decode functions validate enums and ranges.
+// Struct encodings: each struct's fields in the order of its table in
+// harness/config_fields.hh, coded by type (int as svarint, uint32 and
+// uint64 as varint, double as f64, ProtocolKind as a u8). Decoding
+// validates enums and ranges: a value that does not fit its field's
+// type is a WireError naming the field, never a silent narrowing.
 // ---------------------------------------------------------------------
-
-void encodeWorkloadSpec(WireWriter &w, const WorkloadSpec &spec);
-WorkloadSpec decodeWorkloadSpec(WireReader &r);
 
 /**
  * @throws WireError if @p cfg carries a custom workloadFactory — a
@@ -112,6 +114,13 @@ SystemConfig decodeSystemConfig(WireReader &r);
 
 void encodeExperimentSpec(WireWriter &w, const ExperimentSpec &spec);
 ExperimentSpec decodeExperimentSpec(WireReader &r);
+
+/**
+ * Encodes only the fields of @p cfg that bind at least as tightly as
+ * @p loosest: Bind::shape for System::reset(), Bind::warm for a
+ * snapshot. A custom workloadFactory is in no table and never throws.
+ */
+std::string encodeBoundFields(const SystemConfig &cfg, Bind loosest);
 
 /** A corrupt metric count must not OOM the decoder. */
 constexpr std::uint64_t maxWireMetrics = 1 << 16;

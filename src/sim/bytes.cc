@@ -4,22 +4,16 @@
 
 namespace tokensim {
 
-namespace {
-
 std::uint64_t
-zigzag(std::int64_t v)
+fnv1a(const std::string &bytes)
 {
-    return (static_cast<std::uint64_t>(v) << 1) ^
-        static_cast<std::uint64_t>(v >> 63);
+    std::uint64_t h = 1469598103934665603ull;   // see bytes.hh
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;                  // FNV-1a 64 prime
+    }
+    return h;
 }
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // WireWriter
@@ -28,12 +22,7 @@ unzigzag(std::uint64_t v)
 void
 WireWriter::varint(std::uint64_t v)
 {
-    while (v >= 0x80) {
-        out_.push_back(static_cast<char>(
-            static_cast<unsigned char>(v) | 0x80));
-        v >>= 7;
-    }
-    out_.push_back(static_cast<char>(v));
+    putVarint(out_, v);
 }
 
 void
@@ -92,27 +81,16 @@ std::uint64_t
 WireReader::varint(const char *what)
 {
     std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-        if (pos_ >= size_) {
-            throw WireError(std::string("truncated mid-varint in ") +
-                            what);
-        }
-        const unsigned char b = p_[pos_++];
-        if (shift >= 63) {
-            // Byte 10 carries at most bit 63; more payload — or an
-            // 11th byte — cannot fit in 64 bits (and shifting by
-            // >= 64 would be UB, so reject before it can happen).
-            if ((b & 0x7f) > 1 || (b & 0x80)) {
-                throw WireError(std::string(what) +
-                                ": varint overflows 64 bits");
-            }
-        }
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
+    switch (getVarint(p_, size_, pos_, v)) {
+      case VarintStatus::ok:
+        break;
+      case VarintStatus::truncated:
+        throw WireError(std::string("truncated mid-varint in ") + what);
+      case VarintStatus::overflow:
+        throw WireError(std::string(what) +
+                        ": varint overflows 64 bits");
     }
+    return v;
 }
 
 std::int64_t

@@ -2,8 +2,10 @@
  * @file
  * Byte-level encoding primitives shared by every binary codec in the
  * tree: the sweep wire format (harness/wire), the warm-state snapshot
- * codec (harness/snapshot), and the per-controller warm-state
- * encoders in proto/ and cpu/ that the snapshot codec composes.
+ * codec (harness/snapshot), the per-controller warm-state encoders in
+ * proto/ and cpu/ that the snapshot codec composes, and the trace
+ * format (workload/trace), which shares the varint and zigzag
+ * primitives and keeps its own TraceError failure mode.
  *
  * Extracted from harness/wire so low-level units can serialize
  * themselves without depending on the harness (harness/system.hh
@@ -28,6 +30,78 @@
 #include <string>
 
 namespace tokensim {
+
+/** Zigzag mapping: signed values of small magnitude get short codes. */
+constexpr std::uint64_t
+zigzag(std::int64_t v)
+{
+    return (static_cast<std::uint64_t>(v) << 1) ^
+        static_cast<std::uint64_t>(v >> 63);
+}
+
+constexpr std::int64_t
+unzigzag(std::uint64_t v)
+{
+    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+/** Appends @p v as a ULEB128 varint to a byte container. */
+template <class Bytes>
+void
+putVarint(Bytes &out, std::uint64_t v)
+{
+    using Byte = typename Bytes::value_type;
+    while (v >= 0x80) {
+        out.push_back(
+            static_cast<Byte>(static_cast<unsigned char>(v) | 0x80));
+        v >>= 7;
+    }
+    out.push_back(static_cast<Byte>(v));
+}
+
+/** How a varint read ended. */
+enum class VarintStatus : std::uint8_t
+{
+    ok,
+    truncated,   ///< the buffer ended mid-varint
+    overflow,    ///< the varint can never terminate within 64 bits
+};
+
+/**
+ * The one ULEB128 read loop: decodes the varint at @p p [@p pos,
+ * @p size) into @p v and advances @p pos past it. On any status but
+ * ok, @p pos is unchanged and @p v unspecified; each caller maps the
+ * status to its own failure mode (a typed error, or "incomplete: wait
+ * for more bytes").
+ */
+inline VarintStatus
+getVarint(const unsigned char *p, std::size_t size, std::size_t &pos,
+          std::uint64_t &v)
+{
+    v = 0;
+    // A local cursor: @p pos often aliases the caller's member, which
+    // would otherwise be stored and reloaded on every byte.
+    std::size_t at = pos;
+    for (int shift = 0;; shift += 7) {
+        if (at >= size)
+            return VarintStatus::truncated;
+        const unsigned char b = p[at++];
+        // Byte 10 carries at most bit 63; more payload — or an 11th
+        // byte — cannot fit in 64 bits (and shifting by >= 64 would
+        // be UB, so reject before it can happen).
+        if (shift >= 63 && ((b & 0x7f) > 1 || (b & 0x80)))
+            return VarintStatus::overflow;
+        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+        if (!(b & 0x80)) {
+            pos = at;
+            return VarintStatus::ok;
+        }
+    }
+}
+
+/** FNV-1a 64 over @p bytes. Its offset basis is a digit short of the
+ *  published 14695981039346656037; fingerprints on disk depend on it. */
+std::uint64_t fnv1a(const std::string &bytes);
 
 /** Any structural problem with a wire buffer or frame. */
 class WireError : public std::runtime_error

@@ -85,35 +85,11 @@ struct WorkloadSpec
     }
 
     /**
-     * Whole-value equality over every field. Serialization hook: the
-     * sweep wire format (harness/wire.cc) ships specs between worker
-     * processes field by field, and its round-trip tests compare
-     * through this operator — a field added here must be added to
-     * encodeWorkloadSpec/decodeWorkloadSpec (and wireVersion bumped)
-     * or the wire tests' exhaustive-field round trip will catch the
-     * omission. A sizeof sentinel next to encodeWorkloadSpec
-     * (harness/wire.cc) additionally fails the build on layout growth
-     * so the knob can't be added *here* and forgotten *there*.
+     * Whole-value equality: equal wire encodings (harness/wire.cc), so
+     * every field of the table in harness/config_fields.hh takes part
+     * and doubles compare by bit pattern.
      */
-    friend bool
-    operator==(const WorkloadSpec &a, const WorkloadSpec &b)
-    {
-        return a.preset == b.preset && a.tracePath == b.tracePath &&
-            a.uniformBlocks == b.uniformBlocks &&
-            a.storeFraction == b.storeFraction &&
-            a.prodConsBlocks == b.prodConsBlocks &&
-            a.lockBlocks == b.lockBlocks &&
-            a.sectionOps == b.sectionOps &&
-            a.ycsbRecords == b.ycsbRecords &&
-            a.ycsbTheta == b.ycsbTheta &&
-            a.ycsbReadFraction == b.ycsbReadFraction &&
-            a.ycsbUpdateFraction == b.ycsbUpdateFraction &&
-            a.ycsbScanLen == b.ycsbScanLen &&
-            a.tpccWarehouses == b.tpccWarehouses &&
-            a.tpccHomeFraction == b.tpccHomeFraction &&
-            a.tpccOpsPerTxn == b.tpccOpsPerTxn &&
-            a.tpccThinkOps == b.tpccThinkOps;
-    }
+    friend bool operator==(const WorkloadSpec &a, const WorkloadSpec &b);
 
     friend bool
     operator!=(const WorkloadSpec &a, const WorkloadSpec &b)

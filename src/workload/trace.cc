@@ -6,6 +6,8 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "sim/bytes.hh"
+
 namespace tokensim {
 
 namespace {
@@ -16,29 +18,6 @@ constexpr unsigned char kFlagStore = 1u << 0;
 constexpr unsigned char kFlagEndsTransaction = 1u << 1;
 constexpr unsigned char kFlagReservedMask =
     static_cast<unsigned char>(~(kFlagStore | kFlagEndsTransaction));
-
-std::uint64_t
-zigzag(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-        static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-void
-putVarint(std::vector<unsigned char> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<unsigned char>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<unsigned char>(v));
-}
 
 /**
  * Bounds-checked little-endian cursor over a serialized trace. Every
@@ -124,28 +103,20 @@ putU64(std::string &out, std::uint64_t v)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
-/** ULEB128 decode with bounds checking against @p end. */
+/** ULEB128 decode of @p p [@p pos, @p size); failures are TraceErrors. */
 std::uint64_t
-getVarint(const unsigned char *p, std::size_t size, std::size_t &pos)
+traceVarint(const unsigned char *p, std::size_t size, std::size_t &pos)
 {
     std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-        if (pos >= size)
-            throw TraceError("stream truncated mid-varint");
-        const unsigned char b = p[pos++];
-        if (shift >= 63) {
-            // Byte 10 carries at most bit 63; any more payload — or
-            // an 11th byte — cannot fit (and shifting by >= 64 would
-            // be UB, so reject before it can happen).
-            if ((b & 0x7f) > 1 || (b & 0x80))
-                throw TraceError("varint overflows 64 bits");
-        }
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
+    switch (getVarint(p, size, pos, v)) {
+      case VarintStatus::ok:
+        break;
+      case VarintStatus::truncated:
+        throw TraceError("stream truncated mid-varint");
+      case VarintStatus::overflow:
+        throw TraceError("varint overflows 64 bits");
     }
+    return v;
 }
 
 } // namespace
@@ -319,7 +290,7 @@ TraceData::Reader::next()
     if (flags & kFlagReservedMask)
         throw TraceError("reserved flag bits set (corrupt stream?)");
     const std::int64_t delta =
-        unzigzag(getVarint(base_, size_, pos_));
+        unzigzag(traceVarint(base_, size_, pos_));
 
     WorkloadOp op;
     op.op = (flags & kFlagStore) ? MemOp::store : MemOp::load;

@@ -13,8 +13,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/snapshot.hh"
 #include "harness/wire.hh"
@@ -106,6 +109,48 @@ exhaustiveConfig()
     return cfg;
 }
 
+/**
+ * Field by field, by hand: WorkloadSpec::operator== compares wire
+ * encodings, so it cannot see a field the codec drops on both sides.
+ */
+void
+expectSameWorkload(const WorkloadSpec &a, const WorkloadSpec &b)
+{
+    EXPECT_EQ(a.preset, b.preset);
+    EXPECT_EQ(a.tracePath, b.tracePath);
+    EXPECT_EQ(a.uniformBlocks, b.uniformBlocks);
+    expectSameBits(a.storeFraction, b.storeFraction, "storeFraction");
+    EXPECT_EQ(a.prodConsBlocks, b.prodConsBlocks);
+    EXPECT_EQ(a.lockBlocks, b.lockBlocks);
+    EXPECT_EQ(a.sectionOps, b.sectionOps);
+    EXPECT_EQ(a.ycsbRecords, b.ycsbRecords);
+    expectSameBits(a.ycsbTheta, b.ycsbTheta, "ycsbTheta");
+    expectSameBits(a.ycsbReadFraction, b.ycsbReadFraction,
+                   "ycsbReadFraction");
+    expectSameBits(a.ycsbUpdateFraction, b.ycsbUpdateFraction,
+                   "ycsbUpdateFraction");
+    EXPECT_EQ(a.ycsbScanLen, b.ycsbScanLen);
+    EXPECT_EQ(a.tpccWarehouses, b.tpccWarehouses);
+    expectSameBits(a.tpccHomeFraction, b.tpccHomeFraction,
+                   "tpccHomeFraction");
+    EXPECT_EQ(a.tpccOpsPerTxn, b.tpccOpsPerTxn);
+    EXPECT_EQ(a.tpccThinkOps, b.tpccThinkOps);
+}
+
+/** @p spec through the wire, as the workload of a default config. */
+WorkloadSpec
+roundTrip(const WorkloadSpec &spec)
+{
+    SystemConfig cfg;
+    cfg.workload = spec;
+    WireWriter w;
+    encodeSystemConfig(w, cfg);
+    WireReader r(w.buffer());
+    const SystemConfig back = decodeSystemConfig(r);
+    EXPECT_NO_THROW(r.expectEnd("config"));
+    return back.workload;
+}
+
 void
 expectSameConfig(const SystemConfig &a, const SystemConfig &b)
 {
@@ -153,12 +198,12 @@ expectSameConfig(const SystemConfig &a, const SystemConfig &b)
     EXPECT_EQ(a.dram.minGap, b.dram.minGap);
     EXPECT_EQ(a.ctrlLatency, b.ctrlLatency);
     EXPECT_EQ(a.blockBytes, b.blockBytes);
-    // WorkloadSpec::operator== covers every workload field (the
-    // factory header documents it as the wire's serialization hook).
-    EXPECT_TRUE(a.workload == b.workload);
+    expectSameWorkload(a.workload, b.workload);
     ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t i = 0; i < a.tenants.size(); ++i)
-        EXPECT_TRUE(a.tenants[i] == b.tenants[i]);
+    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+        expectSameWorkload(a.tenants[i].workload, b.tenants[i].workload);
+        EXPECT_EQ(a.tenants[i].nodes, b.tenants[i].nodes);
+    }
     EXPECT_EQ(a.recordTrace, b.recordTrace);
     EXPECT_EQ(a.sampling.ffOps, b.sampling.ffOps);
     EXPECT_EQ(a.sampling.measureOps, b.sampling.measureOps);
@@ -363,20 +408,17 @@ TEST(WireStructs, WorkloadSpecRoundTripsEveryField)
     spec.tpccOpsPerTxn = -11;
     spec.tpccThinkOps = 77;
 
-    WireWriter w;
-    encodeWorkloadSpec(w, spec);
-    WireReader r(w.buffer());
-    const WorkloadSpec back = decodeWorkloadSpec(r);
-    EXPECT_NO_THROW(r.expectEnd("workload spec"));
+    const WorkloadSpec back = roundTrip(spec);
+    expectSameWorkload(back, spec);
     EXPECT_TRUE(back == spec);
     EXPECT_FALSE(back != spec);
 }
 
 TEST(WireStructs, WorkloadSpecEqualityDiscriminatesEveryKnob)
 {
-    // operator== is the wire's serialization hook: each per-preset
-    // knob perturbed alone must break equality, or a knob could ship
-    // half-serialized without any test noticing.
+    // operator== compares wire encodings: each per-preset knob
+    // perturbed alone must break equality, or a knob is missing from
+    // the field table and would not cross the wire at all.
     const WorkloadSpec base;
     const auto differs = [&](auto mutate) {
         WorkloadSpec s = base;
@@ -427,14 +469,8 @@ TEST(WireStructs, EachWorkloadKnobSurvivesTheWireAlone)
     variant([](WorkloadSpec &s) { s.tpccHomeFraction = 0.21875; });
     variant([](WorkloadSpec &s) { s.tpccOpsPerTxn = 1001; });
     variant([](WorkloadSpec &s) { s.tpccThinkOps = -2; });
-    for (const WorkloadSpec &spec : variants) {
-        WireWriter w;
-        encodeWorkloadSpec(w, spec);
-        WireReader r(w.buffer());
-        const WorkloadSpec back = decodeWorkloadSpec(r);
-        EXPECT_NO_THROW(r.expectEnd("workload spec"));
-        EXPECT_TRUE(back == spec);
-    }
+    for (const WorkloadSpec &spec : variants)
+        expectSameWorkload(roundTrip(spec), spec);
 }
 
 TEST(WireStructs, TenantListRoundTripsAndEmptyStaysEmpty)
@@ -483,6 +519,38 @@ TEST(WireStructs, DefaultSystemConfigRoundTrips)
     encodeSystemConfig(w, SystemConfig{});
     WireReader r(w.buffer());
     expectSameConfig(SystemConfig{}, decodeSystemConfig(r));
+}
+
+/** The tree's FNV-1a 64 variant (see sim/bytes.hh), written out here
+ *  so the pins below do not lean on the hash under test. */
+std::uint64_t
+referenceFnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(WireStructs, EncodingsArePinnedToTheirBytes)
+{
+    // Round trips cannot see a change that alters encode and decode
+    // together; these digests can. A change here changes what every
+    // job frame and checkpoint holds, so it needs a wireVersion bump.
+    WireWriter plain;
+    encodeSystemConfig(plain, SystemConfig{});
+    EXPECT_EQ(plain.buffer().size(), 175u);
+    EXPECT_EQ(referenceFnv1a(plain.buffer()), 0x731db1481dcd7e69ull);
+
+    WireWriter full;
+    encodeSystemConfig(full, exhaustiveConfig());
+    EXPECT_EQ(full.buffer().size(), 363u);
+    EXPECT_EQ(referenceFnv1a(full.buffer()), 0x25ef4dc84540c3bbull);
+
+    EXPECT_EQ(sweepFingerprint({ExperimentSpec{SystemConfig{}, 5, "x"}}),
+              0x0038696513dcf104ull);
 }
 
 TEST(WireStructs, ExperimentSpecRoundTrips)
@@ -572,6 +640,99 @@ TEST(WireStructs, ProtocolByteOutOfRangeIsATypedError)
     buf[proto_at] = char(200);
     WireReader r(buf);
     EXPECT_THROW(decodeSystemConfig(r), WireError);
+}
+
+/**
+ * @p encoded with the bytes @p from (which must occur exactly once)
+ * replaced by @p to: a field widened past its type.
+ */
+std::string
+splice(const std::string &encoded, const std::string &from,
+       const std::string &to)
+{
+    const std::size_t at = encoded.find(from);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(encoded.find(from, at + 1), std::string::npos);
+    std::string out = encoded;
+    out.replace(at, from.size(), to);
+    return out;
+}
+
+std::string
+svarintBytes(std::int64_t v)
+{
+    WireWriter w;
+    w.svarint(v);
+    return w.take();
+}
+
+std::string
+varintBytes(std::uint64_t v)
+{
+    WireWriter w;
+    w.varint(v);
+    return w.take();
+}
+
+/** Decoding @p decode must throw a WireError naming @p field. */
+template <class Decode>
+void
+expectFieldError(Decode decode, const std::string &field)
+{
+    try {
+        decode();
+        FAIL() << field << " out of range decoded successfully";
+    } catch (const WireError &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(WireStructs, OutOfRangeIntFieldIsATypedError)
+{
+    // numNodes = 2^32 + 16 once narrowed silently to 16.
+    SystemConfig cfg;
+    cfg.numNodes = 0x0abcdef1;   // distinctive encoding to splice over
+    const std::string wide = svarintBytes((1ll << 32) + 16);
+    WireWriter w;
+    encodeSystemConfig(w, cfg);
+    const std::string bad =
+        splice(w.buffer(), svarintBytes(cfg.numNodes), wide);
+    expectFieldError([&] {
+        WireReader r(bad);
+        decodeSystemConfig(r);
+    }, "numNodes");
+
+    const std::string job = splice(encodeJobPayload(1, cfg, 2),
+                                   svarintBytes(cfg.numNodes), wide);
+    expectFieldError([&] { decodeJobPayload(job); }, "numNodes");
+
+    // The negative side of the range too.
+    const std::string low = splice(w.buffer(), svarintBytes(cfg.numNodes),
+                                   svarintBytes(-(1ll << 31) - 1));
+    expectFieldError([&] {
+        WireReader r(low);
+        decodeSystemConfig(r);
+    }, "numNodes");
+}
+
+TEST(WireStructs, OutOfRangeUint32FieldIsATypedError)
+{
+    SystemConfig cfg;
+    cfg.l2.assoc = 0x0fedcba9;   // distinctive encoding to splice over
+    const std::string wide = varintBytes((1ull << 32) + 5);
+    WireWriter w;
+    encodeSystemConfig(w, cfg);
+    const std::string bad =
+        splice(w.buffer(), varintBytes(cfg.l2.assoc), wide);
+    expectFieldError([&] {
+        WireReader r(bad);
+        decodeSystemConfig(r);
+    }, "l2.assoc");
+
+    const std::string job = splice(encodeJobPayload(1, cfg, 2),
+                                   varintBytes(cfg.l2.assoc), wide);
+    expectFieldError([&] { decodeJobPayload(job); }, "l2.assoc");
 }
 
 TEST(WireStructs, DuplicateMetricNameOnWireIsATypedError)
@@ -1095,6 +1256,178 @@ TEST(WireSnapshot, TrailingBytesAreATypedError)
     extra.push_back('\x00');
     System sys(cfg);
     EXPECT_THROW(loadWarmSnapshot(sys, extra), WireError);
+}
+
+// ---------------------------------------------------------------------
+// What reset() and a snapshot bind, field by field
+// ---------------------------------------------------------------------
+
+/** One single-field change and the tightest thing it must break. */
+struct Perturbation
+{
+    const char *field;
+    std::function<void(SystemConfig &)> mutate;
+    Bind binds;
+};
+
+/**
+ * Every SystemConfig field, listed by hand as an independent reference
+ * for the Bind tags of harness/config_fields.hh: shape fields make
+ * System::reset() refuse, shape and warm fields change the snapshot
+ * fingerprint, free fields do neither.
+ */
+std::vector<Perturbation>
+everyFieldPerturbed()
+{
+    using C = SystemConfig &;
+    std::vector<Perturbation> p = {
+        {"numNodes", [](C c) { c.numNodes = 8; }, Bind::shape},
+        {"topology", [](C c) { c.topology = "tree"; }, Bind::shape},
+        {"protocol", [](C c) { c.protocol = ProtocolKind::tokenD; },
+         Bind::shape},
+        {"proto.migratoryOpt", [](C c) { c.proto.migratoryOpt = false; },
+         Bind::free},
+        {"proto.tokensPerBlock", [](C c) { c.proto.tokensPerBlock = 9; },
+         Bind::shape},
+        {"proto.maxReissues", [](C c) { c.proto.maxReissues = 2; },
+         Bind::free},
+        {"proto.reissueLatencyMultiple",
+         [](C c) { c.proto.reissueLatencyMultiple = 3.0; }, Bind::free},
+        {"proto.reissueJitter", [](C c) { c.proto.reissueJitter = 0.5; },
+         Bind::free},
+        {"proto.initialAvgMissLatency",
+         [](C c) { c.proto.initialAvgMissLatency += 1; }, Bind::free},
+        {"proto.maxReissueTimeout",
+         [](C c) { c.proto.maxReissueTimeout += 1; }, Bind::free},
+        {"proto.reissueEnabled",
+         [](C c) { c.proto.reissueEnabled = false; }, Bind::free},
+        {"proto.chaosDropFraction",
+         [](C c) { c.proto.chaosDropFraction = 0.25; }, Bind::free},
+        {"proto.chaosMisdirectFraction",
+         [](C c) { c.proto.chaosMisdirectFraction = 0.25; }, Bind::free},
+        {"proto.perfectDirectory",
+         [](C c) { c.proto.perfectDirectory = true; }, Bind::free},
+        {"proto.predictorEntries",
+         [](C c) { c.proto.predictorEntries = 1024; }, Bind::shape},
+        {"proto.adaptiveThreshold",
+         [](C c) { c.proto.adaptiveThreshold = 0.5; }, Bind::free},
+        {"proto.adaptiveWindow", [](C c) { c.proto.adaptiveWindow += 1; },
+         Bind::free},
+        {"net.linkLatency", [](C c) { c.net.linkLatency += 1; },
+         Bind::free},
+        {"net.bytesPerNs", [](C c) { c.net.bytesPerNs = 1.6; },
+         Bind::free},
+        {"net.unlimitedBandwidth",
+         [](C c) { c.net.unlimitedBandwidth = true; }, Bind::free},
+        {"net.ctrlBytes", [](C c) { c.net.ctrlBytes = 16; }, Bind::free},
+        {"net.dataBytes", [](C c) { c.net.dataBytes = 80; }, Bind::free},
+        {"net.localDelay", [](C c) { c.net.localDelay = 2; }, Bind::free},
+        {"seq.maxOutstanding", [](C c) { c.seq.maxOutstanding = 2; },
+         Bind::free},
+        {"seq.thinkMean", [](C c) { c.seq.thinkMean += 1; }, Bind::free},
+        {"seq.l1.sizeBytes", [](C c) { c.seq.l1.sizeBytes *= 2; },
+         Bind::shape},
+        {"seq.l1.assoc", [](C c) { c.seq.l1.assoc *= 2; }, Bind::shape},
+        {"seq.l1.blockBytes", [](C c) { c.seq.l1.blockBytes = 32; },
+         Bind::shape},
+        {"seq.l1.latency", [](C c) { c.seq.l1.latency += 1; },
+         Bind::free},
+        {"seq.l1Enabled", [](C c) { c.seq.l1Enabled = false; },
+         Bind::warm},
+        {"l2.sizeBytes", [](C c) { c.l2.sizeBytes *= 2; }, Bind::shape},
+        {"l2.assoc", [](C c) { c.l2.assoc *= 2; }, Bind::shape},
+        {"l2.blockBytes", [](C c) { c.l2.blockBytes = 32; }, Bind::shape},
+        {"l2.latency", [](C c) { c.l2.latency += 1; }, Bind::free},
+        {"dram.latency", [](C c) { c.dram.latency += 1; }, Bind::free},
+        {"dram.minGap", [](C c) { c.dram.minGap += 1; }, Bind::free},
+        {"ctrlLatency", [](C c) { c.ctrlLatency += 1; }, Bind::free},
+        {"blockBytes", [](C c) { c.blockBytes = 32; }, Bind::shape},
+        {"workload", [](C c) { c.workload = "uniform"; }, Bind::warm},
+        {"recordTrace", [](C c) { c.recordTrace = "unwritten.trace"; },
+         Bind::free},
+        {"opsPerProcessor", [](C c) { c.opsPerProcessor += 1; },
+         Bind::free},
+        {"warmupOpsPerProcessor",
+         [](C c) { c.warmupOpsPerProcessor += 1; }, Bind::free},
+        {"seed", [](C c) { c.seed += 1; }, Bind::warm},
+        {"attachAuditor", [](C c) { c.attachAuditor = true; },
+         Bind::shape},
+        {"maxTicks", [](C c) { c.maxTicks += 1; }, Bind::free},
+        {"sampling.ffOps", [](C c) { c.sampling.ffOps = 10; },
+         Bind::free},
+        {"sampling.measureOps", [](C c) { c.sampling.measureOps = 10; },
+         Bind::free},
+        {"sampling.windows", [](C c) { c.sampling.windows = 2; },
+         Bind::free},
+        {"warmSnapshot",
+         [](C c) { c.warmSnapshot = std::make_shared<std::string>("x"); },
+         Bind::free},
+        {"tenants",
+         [](C c) {
+             c.tenants = {TenantSpec{WorkloadSpec("ycsb"), 2},
+                          TenantSpec{WorkloadSpec("tpcc"), 2}};
+         },
+         Bind::warm},
+    };
+    // Every workload knob binds like the spec as a whole.
+    using W = WorkloadSpec &;
+    const std::pair<const char *, std::function<void(W)>> knobs[] = {
+        {"workload.tracePath", [](W w) { w.tracePath = "t.trace"; }},
+        {"workload.uniformBlocks", [](W w) { w.uniformBlocks += 1; }},
+        {"workload.storeFraction", [](W w) { w.storeFraction = 0.5; }},
+        {"workload.prodConsBlocks", [](W w) { w.prodConsBlocks += 1; }},
+        {"workload.lockBlocks", [](W w) { w.lockBlocks += 1; }},
+        {"workload.sectionOps", [](W w) { w.sectionOps += 1; }},
+        {"workload.ycsbRecords", [](W w) { w.ycsbRecords += 1; }},
+        {"workload.ycsbTheta", [](W w) { w.ycsbTheta = 0.5; }},
+        {"workload.ycsbReadFraction",
+         [](W w) { w.ycsbReadFraction = 0.5; }},
+        {"workload.ycsbUpdateFraction",
+         [](W w) { w.ycsbUpdateFraction = 0.5; }},
+        {"workload.ycsbScanLen", [](W w) { w.ycsbScanLen += 1; }},
+        {"workload.tpccWarehouses", [](W w) { w.tpccWarehouses += 1; }},
+        {"workload.tpccHomeFraction",
+         [](W w) { w.tpccHomeFraction = 0.5; }},
+        {"workload.tpccOpsPerTxn", [](W w) { w.tpccOpsPerTxn += 1; }},
+        {"workload.tpccThinkOps", [](W w) { w.tpccThinkOps += 1; }},
+    };
+    for (const auto &[field, knob] : knobs) {
+        p.push_back({field, [knob = knob](C c) { knob(c.workload); },
+                     Bind::warm});
+    }
+    return p;
+}
+
+TEST(ConfigBinding, ResetAndSnapshotBindExactlyTheirFields)
+{
+    SystemConfig base;
+    base.numNodes = 4;
+    base.l2 = CacheParams{32 * 1024, 2, 64, nsToTicks(6)};
+    base.seq.l1 = CacheParams{4 * 1024, 2, 64, nsToTicks(2)};
+    const std::uint64_t base_fp = snapshotShapeFingerprint(base);
+    System sys(base);
+    for (const Perturbation &p : everyFieldPerturbed()) {
+        SCOPED_TRACE(p.field);
+        SystemConfig cfg = base;
+        p.mutate(cfg);
+        EXPECT_EQ(snapshotShapeFingerprint(cfg) != base_fp,
+                  p.binds != Bind::free);
+        // A trace path names no file here: reset() would accept the
+        // shape and then fail to load it.
+        if (!cfg.workload.isTrace()) {
+            EXPECT_EQ(sys.reset(cfg), p.binds != Bind::shape);
+            ASSERT_TRUE(sys.reset(base));
+        }
+    }
+}
+
+TEST(ConfigBinding, SnapshotFingerprintIsPinned)
+{
+    // A change here strands every saved snapshot: bump
+    // snapshotVersion with it, so stale files fail as "version
+    // unsupported" instead of as a shape mismatch.
+    EXPECT_EQ(snapshotShapeFingerprint(SystemConfig{}),
+              0x5488760a604dd186ull);
 }
 
 TEST(WireCheckpoint, FingerprintSeesSpecsSeedsAndOrder)
