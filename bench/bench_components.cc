@@ -48,7 +48,7 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-struct BenchLine : CacheLineBase
+struct BenchLine
 {
     std::uint64_t payload = 0;
 };

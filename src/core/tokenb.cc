@@ -189,24 +189,24 @@ TokenBCache::handleTransient(const Message &msg)
         if (line->tokens == t_ && line->dirty && params_.migratoryOpt) {
             // Migratory optimization: a dirty exclusive owner hands
             // over read/write permission (data + all tokens).
-            sendTokensFromLine(*line, line->tokens, true, true, req,
+            sendTokensFromLine(ba, *line, line->tokens, true, true, req,
                                Unit::cache, MsgClass::data, resp_delay);
         } else if (line->tokens >= 2) {
             // Keep the owner token; share one plain token with data.
-            sendTokensFromLine(*line, 1, false, true, req, Unit::cache,
-                               MsgClass::data, resp_delay);
+            sendTokensFromLine(ba, *line, 1, false, true, req,
+                               Unit::cache, MsgClass::data, resp_delay);
         } else {
             // Only the owner token remains; it must travel with data.
-            sendTokensFromLine(*line, 1, true, true, req, Unit::cache,
-                               MsgClass::data, resp_delay);
+            sendTokensFromLine(ba, *line, 1, true, true, req,
+                               Unit::cache, MsgClass::data, resp_delay);
         }
     } else {
         // Exclusive request: give up everything. The owner includes
         // data; plain sharers send a dataless token message (like a
         // directory protocol's invalidation acknowledgment).
         const bool with_data = line->owner;
-        sendTokensFromLine(*line, line->tokens, line->owner, with_data,
-                           req, Unit::cache,
+        sendTokensFromLine(ba, *line, line->tokens, line->owner,
+                           with_data, req, Unit::cache,
                            with_data ? MsgClass::data : MsgClass::nonData,
                            resp_delay);
     }
@@ -464,7 +464,7 @@ TokenBCache::handlePersistActivate(const Message &msg)
         TokenLine *line = l2_.find(ba);
         if (line && line->tokens > 0) {
             const bool with_data = line->owner;
-            sendTokensFromLine(*line, line->tokens, line->owner,
+            sendTokensFromLine(ba, *line, line->tokens, line->owner,
                                with_data, starving, Unit::cache,
                                MsgClass::persistent,
                                ctx_.ctrlLatency + ctx_.l2.latency);
@@ -509,53 +509,54 @@ TokenBCache::allocLine(Addr addr)
     CacheArray<TokenLine>::Victim victim;
     TokenLine *line = l2_.allocate(addr, &victim);
     if (victim.valid)
-        evictVictim(victim.line);
+        evictVictim(victim.addr, victim.line);
     ctx_.holders->add(addr, id_);
     return line;
 }
 
 void
-TokenBCache::evictVictim(const TokenLine &victim)
+TokenBCache::evictVictim(Addr addr, const TokenLine &victim)
 {
     ++stats_.evictions;
-    ctx_.holders->drop(victim.addr, id_);
-    notifyLineRemoved(victim.addr);
+    ctx_.holders->drop(addr, id_);
+    notifyLineRemoved(addr);
     assert(victim.tokens > 0 && "token-less line survived in cache");
 
     // Tokens (and data, when we are the owner) return to the home —
     // unless a persistent request is active, in which case they are
     // owed to the starving node.
-    NodeId dest = ctx_.home(victim.addr);
+    NodeId dest = ctx_.home(addr);
     Unit unit = Unit::memory;
     MsgClass cls = victim.owner ? MsgClass::data : MsgClass::nonData;
-    auto pit = persistentTable_.find(victim.addr);
+    auto pit = persistentTable_.find(addr);
     if (pit != persistentTable_.end() && pit->second != id_) {
         dest = pit->second;
         unit = Unit::cache;
         cls = MsgClass::persistent;
     }
-    Message msg = makeTokenMsg(victim.addr, id_, dest, unit,
+    Message msg = makeTokenMsg(addr, id_, dest, unit,
                                victim.tokens, victim.owner,
                                victim.owner, victim.data, cls);
     sendTokenMsg(msg, ctx_.ctrlLatency);
 }
 
 void
-TokenBCache::sendTokensFromLine(TokenLine &line, int count,
+TokenBCache::sendTokensFromLine(Addr ba, TokenLine &line, int count,
                                 bool send_owner, bool with_data,
                                 NodeId dest, Unit dst_unit, MsgClass cls,
                                 Tick delay)
 {
+    assert(l2_.addrOf(line) == ba);
     assert(count >= 1 && count <= line.tokens);
     assert(!send_owner || line.owner);
-    Message msg = makeTokenMsg(line.addr, id_, dest, dst_unit, count,
+    Message msg = makeTokenMsg(ba, id_, dest, dst_unit, count,
                                send_owner, with_data, line.data, cls);
     line.tokens -= count;
     if (send_owner)
         line.owner = false;
     sendTokenMsg(msg, delay);
     if (line.tokens == 0)
-        freeLine(line);
+        freeLine(ba);
 }
 
 void
@@ -570,12 +571,12 @@ TokenBCache::sendTokenMsg(Message msg, Tick delay)
 }
 
 void
-TokenBCache::freeLine(TokenLine &line)
+TokenBCache::freeLine(Addr ba)
 {
-    assert(line.tokens == 0);
-    ctx_.holders->drop(line.addr, id_);
-    notifyLineRemoved(line.addr);
-    l2_.invalidate(line.addr);
+    assert(l2_.find(ba)->tokens == 0);
+    ctx_.holders->drop(ba, id_);
+    notifyLineRemoved(ba);
+    l2_.invalidate(ba);
 }
 
 bool
@@ -621,7 +622,7 @@ void
 TokenBCache::forEachLine(
     const std::function<void(NodeId, Addr)> &fn) const
 {
-    l2_.forEachValid([&](const TokenLine &l) { fn(id_, l.addr); });
+    l2_.forEachValid([&](Addr a, const TokenLine &) { fn(id_, a); });
 }
 
 // =====================================================================
@@ -839,20 +840,21 @@ TokenBCache::functionalAlloc(Addr ba, FunctionalEnv &env)
     TokenLine *line = l2_.allocate(ba, &victim);
     if (victim.valid) {
         const TokenLine &v = victim.line;
+        const Addr va = victim.addr;
         assert(v.tokens > 0 && "token-less line survived in cache");
-        ctx_.holders->drop(v.addr, id_);
-        notifyLineRemoved(v.addr);
+        ctx_.holders->drop(va, id_);
+        notifyLineRemoved(va);
         // The eviction token message, delivered: the home absorbs the
         // tokens (data travels iff we own — invariant #4'). The home's
         // holding must already be materialized: tokens can only have
         // reached this cache through it.
         auto *mem = static_cast<TokenBMemory *>(
-            env.memories[ctx_.home(v.addr)]);
-        TokenCount &tc = mem->tokensFor(v.addr);
+            env.memories[ctx_.home(va)]);
+        TokenCount &tc = mem->tokensFor(va);
         tc.absorb(v.tokens, v.owner, v.owner);
         assert(tc.sane(t_));
         if (v.owner)
-            mem->store_.write(v.addr, v.data);
+            mem->store_.write(va, v.data);
     }
     ctx_.holders->add(ba, id_);
     return line;
@@ -939,7 +941,7 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
             if (gotOwner)
                 ownerLine->owner = false;
             if (ownerLine->tokens == 0)
-                ownerCache->freeLine(*ownerLine);
+                ownerCache->freeLine(ba);
         } else {
             TokenCount &tc = mem->tokensFor(ba);
             assert(tc.owner &&
@@ -982,7 +984,7 @@ TokenBCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
         const bool owner = l->owner;
         l->tokens = 0;
         l->owner = false;
-        tc->freeLine(*l);
+        tc->freeLine(ba);
         TokenLine *nl = line ? line : functionalAlloc(ba, env);
         line = nl;
         nl->tokens += n;
@@ -1029,65 +1031,32 @@ TokenBCache::encodeWarmState(WireWriter &w) const
     if (!quiescent() || !persistentTable_.empty() ||
         !persistDoneSent_.empty())
         throw WireError("token cache has transactions in flight");
-    w.varint(l2_.useCounter());
-    w.varint(l2_.validCount());
-    l2_.forEachValidIndexed(
-        [&](std::size_t way, std::uint64_t stamp, const TokenLine &l) {
-            w.varint(way);
-            w.varint(stamp);
-            w.varint(l.addr);
-            w.varint(static_cast<std::uint64_t>(l.tokens));
-            w.boolean(l.owner);
-            w.boolean(l.validData);
-            w.boolean(l.dirty);
-            w.varint(l.data);
-        });
+    l2_.encodeWays(w, [](WireWriter &w, const TokenLine &l) {
+        w.varint(static_cast<std::uint64_t>(l.tokens));
+        w.boolean(l.owner);
+        w.boolean(l.validData);
+        w.boolean(l.dirty);
+        w.varint(l.data);
+    });
     putStructEnd(w);
 }
 
 void
 TokenBCache::decodeWarmState(WireReader &r)
 {
-    l2_.setUseCounter(r.varint("l2 use counter"));
-    const std::uint64_t count = r.varint("l2 line count");
-    if (count > l2_.wayCount())
-        throw WireError("l2 line count exceeds the array's ways");
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t way = r.varint("l2 way index");
-        const std::uint64_t stamp = r.varint("l2 lru stamp");
-        const Addr addr = r.varint("l2 line address");
+    l2_.decodeWays(r, "l2", [&](WireReader &r, Addr addr, TokenLine &l) {
         const std::uint64_t tokens = r.varint("token line count");
-        const bool owner = r.boolean("token line owner");
-        const bool validData = r.boolean("token line validData");
-        const bool dirty = r.boolean("token line dirty");
-        const std::uint64_t data = r.varint("token line data");
-        if (way >= l2_.wayCount())
-            throw WireError("l2 way index out of range");
-        if (l2_.wayValid(way))
-            throw WireError("duplicate l2 way in snapshot");
-        if (ctx_.blockAlign(addr) != addr)
-            throw WireError("l2 line address not block-aligned");
-        if (!l2_.wayMatchesSet(way, addr))
-            throw WireError("l2 line mapped to the wrong set");
-        if (l2_.contains(addr))
-            throw WireError("duplicate l2 block in snapshot");
-        if (stamp > l2_.useCounter())
-            throw WireError("l2 lru stamp exceeds the use counter");
         if (tokens < 1 || tokens > static_cast<std::uint64_t>(t_))
             throw WireError("token count outside [1, T]");
-        if (validData && tokens < 1)
-            throw WireError("valid data without a token");
-        TokenLine *l = l2_.restoreWay(static_cast<std::size_t>(way),
-                                      addr, stamp);
-        l->tokens = static_cast<int>(tokens);
-        l->owner = owner;
-        l->validData = validData;
-        l->dirty = dirty;
-        l->data = data;
+        l.tokens = static_cast<int>(tokens);
+        l.owner = r.boolean("token line owner");
+        l.validData = r.boolean("token line validData");
+        l.dirty = r.boolean("token line dirty");
+        l.data = r.varint("token line data");
         ctx_.holders->add(addr, id_);
         if (auditor_)
             auditor_->touch(addr);
-    }
+    });
     checkStructEnd(r, "token cache warm state");
 }
 

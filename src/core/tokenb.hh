@@ -42,8 +42,9 @@
 
 namespace tokensim {
 
-/** An L2 line under Token Coherence: tokens live in the tag state. */
-struct TokenLine : CacheLineBase
+/** An L2 line under Token Coherence: tokens live in the tag state.
+ *  The block address is the CacheArray's tag. */
+struct TokenLine
 {
     int tokens = 0;        ///< total tokens held (including owner)
     bool owner = false;    ///< owner token held
@@ -51,6 +52,8 @@ struct TokenLine : CacheLineBase
     bool dirty = false;    ///< written while holding all tokens
     std::uint64_t data = 0;
 };
+static_assert(sizeof(TokenLine) == 16,
+              "an L2 way is 8 tag + 1 stamp + 16 payload bytes");
 
 /**
  * Token-coherence L2 cache controller running the TokenB performance
@@ -149,19 +152,20 @@ class TokenBCache : public CacheController, public TokenHolder
      *  owns) move to the home atomically — no message. */
     TokenLine *functionalAlloc(Addr ba, FunctionalEnv &env);
 
-    /** Release tokens from a line into a message and send it. */
-    void sendTokensFromLine(TokenLine &line, int count, bool send_owner,
-                            bool with_data, NodeId dest, Unit dst_unit,
-                            MsgClass cls, Tick delay);
+    /** Release tokens from block @p ba's line into a message and
+     *  send it. */
+    void sendTokensFromLine(Addr ba, TokenLine &line, int count,
+                            bool send_owner, bool with_data, NodeId dest,
+                            Unit dst_unit, MsgClass cls, Tick delay);
 
     /** Send an already-built token message (audits + schedules). */
     void sendTokenMsg(Message msg, Tick delay);
 
-    /** Drop a now-empty line and tell the sequencer. */
-    void freeLine(TokenLine &line);
+    /** Drop block @p ba's now-empty line and tell the sequencer. */
+    void freeLine(Addr ba);
 
-    /** Evict a victim line produced by allocation. */
-    void evictVictim(const TokenLine &victim);
+    /** Evict block @p addr's victim line produced by allocation. */
+    void evictVictim(Addr addr, const TokenLine &victim);
 
     /** Complete @p trans if the line now grants its operation. */
     void checkSatisfied(Addr addr);

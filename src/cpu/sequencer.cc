@@ -161,11 +161,9 @@ Sequencer::onComplete(const ProcResponse &resp)
         // Fill/refresh the L1 copy (inclusive with the L2).
         if (resp.op == MemOp::load) {
             L1Line *line = l1_.find(ba);
-            if (!line) {
-                CacheArray<L1Line>::Victim victim;
-                line = l1_.allocate(ba, &victim);
-                // L1 victims need no action: the L2 is inclusive.
-            }
+            // L1 victims need no action: the L2 is inclusive.
+            if (!line)
+                line = l1_.allocate(ba, nullptr);
             line->data = resp.value;
         } else if (L1Line *line = l1_.find(ba)) {
             line->data = resp.value;
@@ -225,8 +223,7 @@ Sequencer::fastForward(std::uint64_t n, FunctionalEnv &env)
             // and nothing below it inserts into this L1 (functional
             // evictions only remove), so the fill needs no re-probe.
             if (wop.op == MemOp::load) {
-                CacheArray<L1Line>::Victim victim;
-                l1_.allocate(ba, &victim)->data = v;
+                l1_.allocate(ba, nullptr)->data = v;
             } else if (L1Line *line = l1_.find(ba)) {
                 line->data = v;
             }
@@ -253,15 +250,9 @@ Sequencer::encodeWarmState(WireWriter &w) const
     if (outstanding_ != 0 || stalled_ || !busyBlocks_.empty())
         throw WireError("sequencer has operations in flight");
     w.varint(nextReqId_);
-    w.varint(l1_.useCounter());
-    w.varint(l1_.validCount());
-    l1_.forEachValidIndexed(
-        [&](std::size_t way, std::uint64_t stamp, const L1Line &line) {
-            w.varint(way);
-            w.varint(stamp);
-            w.varint(line.addr);
-            w.varint(line.data);
-        });
+    l1_.encodeWays(w, [](WireWriter &w, const L1Line &line) {
+        w.varint(line.data);
+    });
     putStructEnd(w);
 }
 
@@ -271,33 +262,9 @@ Sequencer::decodeWarmState(WireReader &r)
     nextReqId_ = r.varint("sequencer nextReqId");
     if (nextReqId_ == 0)
         throw WireError("sequencer nextReqId must be nonzero");
-    l1_.setUseCounter(r.varint("l1 use counter"));
-    const std::uint64_t count = r.varint("l1 line count");
-    if (count > l1_.wayCount()) {
-        throw WireError("l1 line count " + std::to_string(count) +
-                        " exceeds the array's " +
-                        std::to_string(l1_.wayCount()) + " ways");
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t way = r.varint("l1 way index");
-        const std::uint64_t stamp = r.varint("l1 lru stamp");
-        const Addr addr = r.varint("l1 line address");
-        const std::uint64_t data = r.varint("l1 line data");
-        if (way >= l1_.wayCount())
-            throw WireError("l1 way index out of range");
-        if (l1_.wayValid(way))
-            throw WireError("duplicate l1 way in snapshot");
-        if (l1_.blockAlign(addr) != addr)
-            throw WireError("l1 line address not block-aligned");
-        if (!l1_.wayMatchesSet(way, addr))
-            throw WireError("l1 line mapped to the wrong set");
-        if (l1_.contains(addr))
-            throw WireError("duplicate l1 block in snapshot");
-        if (stamp > l1_.useCounter())
-            throw WireError("l1 lru stamp exceeds the use counter");
-        l1_.restoreWay(static_cast<std::size_t>(way), addr, stamp)
-            ->data = data;
-    }
+    l1_.decodeWays(r, "l1", [](WireReader &r, Addr, L1Line &line) {
+        line.data = r.varint("l1 line data");
+    });
     checkStructEnd(r, "sequencer warm state");
 }
 

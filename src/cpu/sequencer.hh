@@ -199,10 +199,11 @@ class Sequencer
     }
 
   private:
-    struct L1Line : CacheLineBase
+    struct L1Line
     {
         std::uint64_t data = 0;
     };
+    static_assert(sizeof(L1Line) == 8, "an L1 way's payload is 8 bytes");
 
     /** Bump counters for one completed operation. */
     void

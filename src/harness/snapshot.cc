@@ -1,6 +1,7 @@
 #include "harness/snapshot.hh"
 
 #include <cstring>
+#include <limits>
 
 #include "harness/system.hh"
 #include "harness/wire.hh"
@@ -27,8 +28,13 @@ readHeader(WireReader &r)
     }
     SnapshotHeader hdr;
     hdr.fingerprint = r.varint("snapshot fingerprint");
-    hdr.numNodes =
-        static_cast<int>(r.varint("snapshot node count"));
+    const std::uint64_t nodes = r.varint("snapshot node count");
+    if (nodes > static_cast<std::uint64_t>(
+                    std::numeric_limits<int>::max())) {
+        throw SnapshotError("snapshot node count " +
+                            std::to_string(nodes) + " out of range");
+    }
+    hdr.numNodes = static_cast<int>(nodes);
     hdr.warmOps = r.varint("snapshot warm op count");
     hdr.protocol = r.u8("snapshot protocol kind");
     checkStructEnd(r, "snapshot header");

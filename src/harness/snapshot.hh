@@ -73,7 +73,9 @@ constexpr char snapshotMagic[8] = {'T', 'O', 'K', 'S', 'N', 'A',
  *  any controller's warm-state encoding. */
 // v2: the fingerprint hashes the shape and warm fields of the
 //     SystemConfig table (harness/config_fields.hh).
-constexpr std::uint8_t snapshotVersion = 2;
+// v3: cache ways carry 1-byte per-set LRU stamps and no use counter,
+//     framed by CacheArray::encodeWays for every protocol.
+constexpr std::uint8_t snapshotVersion = 3;
 
 /**
  * FNV-1a fingerprint of everything a snapshot binds to (see file
@@ -93,9 +95,9 @@ struct SnapshotHeader
 };
 
 /**
- * Parse and validate the header (magic, version) without touching the
- * body. @throws SnapshotError on wrong magic/version, WireError on
- * truncation.
+ * Parse and validate the header (magic, version, node count) without
+ * touching the body. @throws SnapshotError on wrong magic/version or a
+ * node count outside int, WireError on truncation.
  */
 SnapshotHeader peekSnapshotHeader(const std::string &bytes);
 

@@ -20,6 +20,12 @@ System::System(const SystemConfig &cfg)
 {
     if (cfg_.numNodes < 1)
         throw std::invalid_argument("system needs at least one node");
+    // Block alignment and the home mapping shift and mask by it.
+    if (!isPowerOf2(cfg_.blockBytes)) {
+        throw std::invalid_argument("blockBytes " +
+                                    std::to_string(cfg_.blockBytes) +
+                                    " is not a power of two");
+    }
 
     std::unique_ptr<Topology> topo(
         makeTopology(cfg_.topology, cfg_.numNodes));

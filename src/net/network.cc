@@ -114,7 +114,7 @@ Network::scheduleDelivery(NodeId dest, std::uint32_t slot, Tick when)
         }
         eq_.schedule(when, [this, when]() { flushDeliveries(when); });
     }
-    batch->push_back(Delivery{dest, slot});
+    batch->emplace_back(dest, slot);
 }
 
 void

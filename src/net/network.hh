@@ -343,6 +343,10 @@ class Network
     /** One batched delivery: destination plus the pooled message. */
     struct Delivery
     {
+        // Built in place: a temporary stored as two 32-bit halves and
+        // reloaded as one 64-bit word stalls store forwarding.
+        Delivery(NodeId d, std::uint32_t s) : dest(d), slot(s) {}
+
         NodeId dest;
         std::uint32_t slot;
     };

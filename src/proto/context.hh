@@ -49,12 +49,19 @@ struct ProtoContext
         return a & ~static_cast<Addr>(blockBytes - 1);
     }
 
-    /** Home node of a block: low-order block-interleaved (Section 5). */
+    /**
+     * Home node of a block: low-order block-interleaved (Section 5).
+     * Every broadcast copy asks, so no division where it can be
+     * helped: blockBytes is a power of two (blockAlign relies on it
+     * too) and numNodes usually is.
+     */
     NodeId
     home(Addr a) const
     {
-        return static_cast<NodeId>((a / blockBytes) %
-                                   static_cast<Addr>(numNodes));
+        const Addr block = a >> __builtin_ctz(blockBytes);
+        const auto n = static_cast<Addr>(numNodes);
+        return static_cast<NodeId>((n & (n - 1)) == 0 ? block & (n - 1)
+                                                       : block % n);
     }
 
     Tick now() const { return eq->curTick(); }

@@ -280,27 +280,27 @@ DirCache::allocLine(Addr addr)
     CacheArray<DirLine>::Victim victim;
     DirLine *line = l2_.allocate(addr, &victim);
     if (victim.valid)
-        evictVictim(victim.line);
+        evictVictim(victim.addr, victim.line);
     return line;
 }
 
 void
-DirCache::evictVictim(const DirLine &victim)
+DirCache::evictVictim(Addr addr, const DirLine &victim)
 {
     ++stats_.evictions;
-    notifyLineRemoved(victim.addr);
+    notifyLineRemoved(addr);
     if (victim.state == DirCacheState::S ||
         victim.state == DirCacheState::I) {
         return;   // silent drop; directory sharer lists stay stale-safe
     }
 
-    wbBuffer_[victim.addr] = WbEntry{victim.data};
+    wbBuffer_[addr] = WbEntry{victim.data};
     Message msg;
     msg.type = MsgType::putM;
     msg.cls = MsgClass::data;
     msg.dstUnit = Unit::memory;
-    msg.addr = victim.addr;
-    msg.dest = ctx_.home(victim.addr);
+    msg.addr = addr;
+    msg.dest = ctx_.home(addr);
     msg.requester = id_;
     msg.hasData = true;
     msg.data = victim.data;
@@ -609,15 +609,16 @@ DirCache::functionalAlloc(Addr ba, FunctionalEnv &env)
     DirLine *line = l2_.allocate(ba, &victim);
     if (victim.valid) {
         const DirLine &v = victim.line;
-        notifyLineRemoved(v.addr);
+        const Addr va = victim.addr;
+        notifyLineRemoved(va);
         if (v.state == DirCacheState::M || v.state == DirCacheState::O) {
             // The PutM, settled: data lands at the home, whose owner
             // check mirrors the detailed stale-writeback filter.
             auto *mem = static_cast<DirMemory *>(
-                env.memories[ctx_.home(v.addr)]);
-            DirMemory::DirEntry &e = mem->entryFor(v.addr);
+                env.memories[ctx_.home(va)]);
+            DirMemory::DirEntry &e = mem->entryFor(va);
             if (e.owner == id_) {
-                mem->store_.write(v.addr, v.data);
+                mem->store_.write(va, v.data);
                 e.owner = invalidNode;
             }
         }
@@ -728,54 +729,25 @@ DirCache::encodeWarmState(WireWriter &w) const
 {
     if (!quiescent())
         throw WireError("directory cache has transactions in flight");
-    w.varint(l2_.useCounter());
-    w.varint(l2_.validCount());
-    l2_.forEachValidIndexed(
-        [&](std::size_t way, std::uint64_t stamp, const DirLine &l) {
-            w.varint(way);
-            w.varint(stamp);
-            w.varint(l.addr);
-            w.u8(static_cast<std::uint8_t>(l.state));
-            w.boolean(l.written);
-            w.varint(l.data);
-        });
+    l2_.encodeWays(w, [](WireWriter &w, const DirLine &l) {
+        w.u8(static_cast<std::uint8_t>(l.state));
+        w.boolean(l.written);
+        w.varint(l.data);
+    });
     putStructEnd(w);
 }
 
 void
 DirCache::decodeWarmState(WireReader &r)
 {
-    l2_.setUseCounter(r.varint("l2 use counter"));
-    const std::uint64_t count = r.varint("l2 line count");
-    if (count > l2_.wayCount())
-        throw WireError("l2 line count exceeds the array's ways");
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t way = r.varint("l2 way index");
-        const std::uint64_t stamp = r.varint("l2 lru stamp");
-        const Addr addr = r.varint("l2 line address");
+    l2_.decodeWays(r, "l2", [](WireReader &r, Addr, DirLine &l) {
         const std::uint8_t state = r.u8("dir line state");
-        const bool written = r.boolean("dir line written");
-        const std::uint64_t data = r.varint("dir line data");
-        if (way >= l2_.wayCount())
-            throw WireError("l2 way index out of range");
-        if (l2_.wayValid(way))
-            throw WireError("duplicate l2 way in snapshot");
-        if (ctx_.blockAlign(addr) != addr)
-            throw WireError("l2 line address not block-aligned");
-        if (!l2_.wayMatchesSet(way, addr))
-            throw WireError("l2 line mapped to the wrong set");
-        if (l2_.contains(addr))
-            throw WireError("duplicate l2 block in snapshot");
-        if (stamp > l2_.useCounter())
-            throw WireError("l2 lru stamp exceeds the use counter");
         if (state < 1 || state > 3)
             throw WireError("invalid directory line state");
-        DirLine *l = l2_.restoreWay(static_cast<std::size_t>(way),
-                                    addr, stamp);
-        l->state = static_cast<DirCacheState>(state);
-        l->written = written;
-        l->data = data;
-    }
+        l.state = static_cast<DirCacheState>(state);
+        l.written = r.boolean("dir line written");
+        l.data = r.varint("dir line data");
+    });
     checkStructEnd(r, "directory cache warm state");
 }
 

@@ -45,12 +45,13 @@ enum class DirCacheState : std::uint8_t
 };
 
 /** A directory-protocol L2 line. */
-struct DirLine : CacheLineBase
+struct DirLine
 {
     DirCacheState state = DirCacheState::I;
     bool written = false;
     std::uint64_t data = 0;
 };
+static_assert(sizeof(DirLine) == 16, "an L2 way's payload is 16 bytes");
 
 /** Directory-protocol L2 cache controller. */
 class DirCache : public CacheController
@@ -101,7 +102,7 @@ class DirCache : public CacheController
     void maybeComplete(Addr addr);
 
     DirLine *allocLine(Addr addr);
-    void evictVictim(const DirLine &victim);
+    void evictVictim(Addr addr, const DirLine &victim);
 
     /** Fast-forward allocation: retire any victim by moving its state
      *  functionally (no PutM message). */

@@ -49,12 +49,13 @@ enum class HammerState : std::uint8_t
 };
 
 /** A hammer-protocol L2 line. */
-struct HammerLine : CacheLineBase
+struct HammerLine
 {
     HammerState state = HammerState::I;
     bool written = false;
     std::uint64_t data = 0;
 };
+static_assert(sizeof(HammerLine) == 16, "an L2 way's payload is 16 bytes");
 
 /** Hammer L2 cache controller. */
 class HammerCache : public CacheController
@@ -106,7 +107,7 @@ class HammerCache : public CacheController
     void maybeComplete(Addr addr);
 
     HammerLine *allocLine(Addr addr);
-    void evictVictim(const HammerLine &victim);
+    void evictVictim(Addr addr, const HammerLine &victim);
 
     /** Fast-forward allocation: retire any victim by moving its state
      *  functionally (no PutM message). */

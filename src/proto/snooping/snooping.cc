@@ -327,26 +327,26 @@ SnoopCache::allocLine(Addr addr)
     CacheArray<SnoopLine>::Victim victim;
     SnoopLine *line = l2_.allocate(addr, &victim);
     if (victim.valid)
-        evictVictim(victim.line);
+        evictVictim(victim.addr, victim.line);
     return line;
 }
 
 void
-SnoopCache::evictVictim(const SnoopLine &victim)
+SnoopCache::evictVictim(Addr addr, const SnoopLine &victim)
 {
     ++stats_.evictions;
-    notifyLineRemoved(victim.addr);
+    notifyLineRemoved(addr);
     if (victim.state == SnoopState::S || victim.state == SnoopState::I)
         return;   // clean shared copies drop silently
 
     // Owner eviction: announce the writeback in the total order, then
     // ship the data once the announcement has been ordered.
-    wbBuffer_[victim.addr] = WbEntry{victim.data, false};
+    wbBuffer_[addr] = WbEntry{victim.data, false};
     Message msg;
     msg.type = MsgType::putM;
     msg.cls = MsgClass::request;
     msg.dstUnit = Unit::cache;
-    msg.addr = victim.addr;
+    msg.addr = addr;
     msg.requester = id_;
     broadcastOrderedAfter(ctx_.ctrlLatency, msg);
 }
@@ -510,17 +510,18 @@ SnoopCache::functionalAlloc(Addr ba, FunctionalEnv &env)
     SnoopLine *line = l2_.allocate(ba, &victim);
     if (victim.valid) {
         const SnoopLine &v = victim.line;
-        notifyLineRemoved(v.addr);
+        const Addr va = victim.addr;
+        notifyLineRemoved(va);
         if (v.state == SnoopState::M || v.state == SnoopState::O) {
             // The PutM/wbData exchange, settled: data lands at the
             // home, which stops tracking us as owner (a stale-owner
             // record — writeback overtaken by a GetM — never happens
             // at quiescence, but mirror the detailed filter anyway).
             auto *mem = static_cast<SnoopMemory *>(
-                env.memories[ctx_.home(v.addr)]);
-            SnoopMemory::MemBlock &mb = mem->blockFor(v.addr);
+                env.memories[ctx_.home(va)]);
+            SnoopMemory::MemBlock &mb = mem->blockFor(va);
             if (mb.owner == id_) {
-                mem->store_.write(v.addr, v.data);
+                mem->store_.write(va, v.data);
                 mb.owner = invalidNode;
             }
         }
@@ -641,17 +642,11 @@ SnoopCache::encodeWarmState(WireWriter &w) const
 {
     if (!quiescent())
         throw WireError("snooping cache has transactions in flight");
-    w.varint(l2_.useCounter());
-    w.varint(l2_.validCount());
-    l2_.forEachValidIndexed(
-        [&](std::size_t way, std::uint64_t stamp, const SnoopLine &l) {
-            w.varint(way);
-            w.varint(stamp);
-            w.varint(l.addr);
-            w.u8(static_cast<std::uint8_t>(l.state));
-            w.boolean(l.written);
-            w.varint(l.data);
-        });
+    l2_.encodeWays(w, [](WireWriter &w, const SnoopLine &l) {
+        w.u8(static_cast<std::uint8_t>(l.state));
+        w.boolean(l.written);
+        w.varint(l.data);
+    });
     std::vector<Addr> pred;
     migratoryPred_.forEach([&](Addr a) { pred.push_back(a); });
     std::sort(pred.begin(), pred.end());
@@ -664,37 +659,14 @@ SnoopCache::encodeWarmState(WireWriter &w) const
 void
 SnoopCache::decodeWarmState(WireReader &r)
 {
-    l2_.setUseCounter(r.varint("l2 use counter"));
-    const std::uint64_t count = r.varint("l2 line count");
-    if (count > l2_.wayCount())
-        throw WireError("l2 line count exceeds the array's ways");
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t way = r.varint("l2 way index");
-        const std::uint64_t stamp = r.varint("l2 lru stamp");
-        const Addr addr = r.varint("l2 line address");
+    l2_.decodeWays(r, "l2", [](WireReader &r, Addr, SnoopLine &l) {
         const std::uint8_t state = r.u8("snoop line state");
-        const bool written = r.boolean("snoop line written");
-        const std::uint64_t data = r.varint("snoop line data");
-        if (way >= l2_.wayCount())
-            throw WireError("l2 way index out of range");
-        if (l2_.wayValid(way))
-            throw WireError("duplicate l2 way in snapshot");
-        if (ctx_.blockAlign(addr) != addr)
-            throw WireError("l2 line address not block-aligned");
-        if (!l2_.wayMatchesSet(way, addr))
-            throw WireError("l2 line mapped to the wrong set");
-        if (l2_.contains(addr))
-            throw WireError("duplicate l2 block in snapshot");
-        if (stamp > l2_.useCounter())
-            throw WireError("l2 lru stamp exceeds the use counter");
         if (state < 1 || state > 3)
             throw WireError("invalid snooping line state");
-        SnoopLine *l = l2_.restoreWay(static_cast<std::size_t>(way),
-                                      addr, stamp);
-        l->state = static_cast<SnoopState>(state);
-        l->written = written;
-        l->data = data;
-    }
+        l.state = static_cast<SnoopState>(state);
+        l.written = r.boolean("snoop line written");
+        l.data = r.varint("snoop line data");
+    });
     const std::uint64_t npred = r.varint("migratory predictor size");
     Addr prev = 0;
     for (std::uint64_t i = 0; i < npred; ++i) {

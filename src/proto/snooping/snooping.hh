@@ -59,12 +59,13 @@ enum class SnoopState : std::uint8_t
 const char *snoopStateName(SnoopState s);
 
 /** A snooping L2 line. */
-struct SnoopLine : CacheLineBase
+struct SnoopLine
 {
     SnoopState state = SnoopState::I;
     bool written = false;   ///< stored to while in M (migratory hint)
     std::uint64_t data = 0;
 };
+static_assert(sizeof(SnoopLine) == 16, "an L2 way's payload is 16 bytes");
 
 /** Snooping L2 cache controller. */
 class SnoopCache : public CacheController
@@ -121,7 +122,7 @@ class SnoopCache : public CacheController
     void completeTrans(Addr addr);
 
     SnoopLine *allocLine(Addr addr);
-    void evictVictim(const SnoopLine &victim);
+    void evictVictim(Addr addr, const SnoopLine &victim);
     void respondData(NodeId dest, Addr addr, std::uint64_t value,
                      bool exclusive);
 

@@ -225,5 +225,14 @@ TEST(SystemConfigErrors, RejectsBadWorkloadName)
     EXPECT_THROW(System{cfg}, std::invalid_argument);
 }
 
+TEST(SystemConfigErrors, RejectsBlockSizeThatIsNotAPowerOfTwo)
+{
+    SystemConfig cfg = baseConfig(ProtocolKind::tokenB, "torus", "oltp");
+    for (std::uint32_t bytes : {0u, 48u}) {
+        cfg.blockBytes = bytes;
+        EXPECT_THROW(System{cfg}, std::invalid_argument) << bytes;
+    }
+}
+
 } // namespace
 } // namespace tokensim

@@ -1176,6 +1176,39 @@ TEST(WireSnapshot, BadMagicAndVersionAreTypedErrors)
                  SnapshotError);
 }
 
+TEST(WireSnapshot, OutOfRangeNodeCountIsATypedError)
+{
+    // Rewrite the header's node-count varint (after magic, version and
+    // the fingerprint varint) to 2^32 + 4, which narrowing to int would
+    // read back as the config's 4 nodes.
+    const SystemConfig cfg = snapshotConfig(ProtocolKind::tokenB);
+    const std::string snap = warmedSnapshot(cfg);
+    std::size_t at = sizeof snapshotMagic + 1;
+    while (static_cast<unsigned char>(snap[at]) & 0x80)
+        ++at;
+    ++at;   // past the fingerprint's last byte
+    ASSERT_EQ(snap[at], 4);
+    std::string wide;
+    putVarint(wide, (std::uint64_t{1} << 32) + 4);
+    const std::string bad =
+        snap.substr(0, at) + wide + snap.substr(at + 1);
+    for (int pass = 0; pass < 2; ++pass) {
+        try {
+            if (pass == 0) {
+                peekSnapshotHeader(bad);
+            } else {
+                System sys(cfg);
+                loadWarmSnapshot(sys, bad);
+            }
+            FAIL() << "node count 2^32+4 accepted";
+        } catch (const SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("snapshot node count"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(WireSnapshot, WrongShapeFingerprintIsATypedError)
 {
     const SystemConfig cfg = snapshotConfig(ProtocolKind::tokenB);
