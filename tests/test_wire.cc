@@ -1147,6 +1147,31 @@ TEST(WireSnapshot, EveryStateClassRoundTripsToIdenticalBytes)
     }
 }
 
+TEST(WireSnapshot, EncodingsArePinnedToTheirBytes)
+{
+    // The round trip above cannot see a change that alters encode and
+    // decode together; these digests can. A change here changes what
+    // every saved snapshot holds, so it needs a snapshotVersion bump.
+    struct Pin
+    {
+        ProtocolKind proto;
+        std::size_t size;
+        std::uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {ProtocolKind::snooping, 36263u, 0xd9c752b11af373f5ull},
+        {ProtocolKind::directory, 33714u, 0x19835b9bf5609050ull},
+        {ProtocolKind::hammer, 30514u, 0x391cecffdecff9f5ull},
+        {ProtocolKind::tokenB, 36913u, 0x28acf6524cc53c8eull},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(protocolName(pin.proto));
+        const std::string snap = warmedSnapshot(snapshotConfig(pin.proto));
+        EXPECT_EQ(snap.size(), pin.size);
+        EXPECT_EQ(referenceFnv1a(snap), pin.fnv);
+    }
+}
+
 TEST(WireSnapshot, HeaderPeeksWithoutTouchingTheBody)
 {
     const SystemConfig cfg = snapshotConfig(ProtocolKind::tokenB);
