@@ -56,15 +56,21 @@ struct BenchLine
 void
 BM_CacheArrayTouch(benchmark::State &state)
 {
-    CacheArray<BenchLine> cache(CacheParams{4 * 1024 * 1024, 4, 64,
-                                            nsToTicks(6)});
+    // Every way of every set holds a block, and block b lives in set
+    // b % numSets, so walking the blocks in order visits each set's
+    // ways in turn: every touch finds its block in the set's LRU way,
+    // moves its stamp, and every ~250 touches of a set renumber it.
+    const CacheParams params{4 * 1024 * 1024, 4, 64, nsToTicks(6)};
+    CacheArray<BenchLine> cache(params);
     CacheArray<BenchLine>::Victim v;
-    for (Addr a = 0; a < 4096 * 64; a += 64)
-        cache.allocate(a, &v);
-    Addr a = 0;
+    const Addr blocks = params.numSets() * params.assoc;
+    for (Addr b = 0; b < blocks; ++b)
+        cache.allocate(b * params.blockBytes, &v);
+    Addr b = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.touch(a));
-        a = (a + 64) % (4096 * 64);
+        benchmark::DoNotOptimize(cache.touch(b * params.blockBytes));
+        if (++b == blocks)
+            b = 0;
     }
     state.SetItemsProcessed(state.iterations());
 }

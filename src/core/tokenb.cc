@@ -576,7 +576,8 @@ TokenBCache::freeLine(Addr ba)
     assert(l2_.find(ba)->tokens == 0);
     ctx_.holders->drop(ba, id_);
     notifyLineRemoved(ba);
-    l2_.invalidate(ba);
+    [[maybe_unused]] const bool present = l2_.invalidate(ba);
+    assert(present);
 }
 
 bool
@@ -1065,17 +1066,7 @@ TokenBMemory::encodeWarmState(WireWriter &w) const
 {
     if (!persistentTable_.empty() || !arbiter_.quiescent())
         throw WireError("token memory has persistent activity");
-    std::vector<std::pair<Addr, std::uint64_t>> written;
-    for (const auto &[a, v] : store_.blocks()) {
-        if (v != BackingStore::initialValue(a))
-            written.emplace_back(a, v);
-    }
-    std::sort(written.begin(), written.end());
-    w.varint(written.size());
-    for (const auto &[a, v] : written) {
-        w.varint(a);
-        w.varint(v);
-    }
+    store_.encodeWritten(w);
 
     // Holdings that still equal the initial all-T state are omitted:
     // tokensFor() rematerializes them on demand, so the snapshot stays
@@ -1100,22 +1091,9 @@ TokenBMemory::encodeWarmState(WireWriter &w) const
 void
 TokenBMemory::decodeWarmState(WireReader &r)
 {
-    const std::uint64_t nwritten = r.varint("written block count");
-    Addr prev = 0;
-    for (std::uint64_t i = 0; i < nwritten; ++i) {
-        const Addr a = r.varint("written block address");
-        const std::uint64_t v = r.varint("written block value");
-        if (ctx_.blockAlign(a) != a)
-            throw WireError("written block not block-aligned");
-        if (ctx_.home(a) != id_)
-            throw WireError("written block homed elsewhere");
-        if (i > 0 && a <= prev)
-            throw WireError("written blocks not strictly ascending");
-        prev = a;
-        store_.write(a, v);
-    }
+    store_.decodeWritten(r, ctx_, id_);
     const std::uint64_t nlive = r.varint("token holding count");
-    prev = 0;
+    Addr prev = 0;
     for (std::uint64_t i = 0; i < nlive; ++i) {
         const Addr a = r.varint("token holding address");
         const std::uint64_t count = r.varint("token holding tokens");

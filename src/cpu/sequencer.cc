@@ -176,9 +176,7 @@ Sequencer::onComplete(const ProcResponse &resp)
 void
 Sequencer::onLineRemoved(Addr addr)
 {
-    if (!params_.l1Enabled)
-        return;
-    if (l1_.find(addr))
+    if (params_.l1Enabled)
         l1_.invalidate(addr);
 }
 

@@ -183,16 +183,18 @@ class CacheArray
         return &lines_[i];
     }
 
-    /** Remove a block (it must be present). */
-    void
+    /** Remove a block; returns whether it was present. */
+    bool
     invalidate(Addr a)
     {
         const Addr ba = blockAlign(a);
         const std::size_t i = indexOf(setBase(ba), ba);
-        assert(i != notFound);
+        if (i == notFound)
+            return false;
         tags_[i] = invalidTag;
         stamps_[i] = 0;
         lines_[i] = Line{};
+        return true;
     }
 
     /** Apply @p fn(addr, line) to every valid line (invariant

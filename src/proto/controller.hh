@@ -340,9 +340,18 @@ class BackingStore
     /** Forget all writes (blocks revert to their initial values). */
     void clear() { data_.clear(); }
 
-    /** Written blocks, for snapshot iteration (slot order — sort by
-     *  address before serializing). */
-    const BlockMap<std::uint64_t> &blocks() const { return data_; }
+    /** Snapshot codec: the blocks whose value differs from their
+     *  initial value, ascending by address. */
+    void encodeWritten(WireWriter &w) const;
+
+    /**
+     * Inverse of encodeWritten() into a cleared store, whose blocks
+     * are homed at node @p home.
+     * @throws WireError on truncation, or a block that is misaligned,
+     *         homed elsewhere or out of ascending order.
+     */
+    void decodeWritten(WireReader &r, const ProtoContext &ctx,
+                       NodeId home);
 
   private:
     Addr

@@ -22,58 +22,25 @@
 #define TOKENSIM_PROTO_DIRECTORY_DIRECTORY_HH
 
 #include <cstdint>
-#include <deque>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
-#include "mem/block_map.hh"
-#include "mem/cache.hh"
-#include "mem/dram.hh"
-#include "proto/controller.hh"
-#include "sim/small_queue.hh"
+#include "proto/mosi.hh"
 
 namespace tokensim {
 
-/** Stable MOSI states of a directory-protocol cache line. */
-enum class DirCacheState : std::uint8_t
-{
-    I = 0,
-    S,
-    O,
-    M,
-};
-
-/** A directory-protocol L2 line. */
-struct DirLine
-{
-    DirCacheState state = DirCacheState::I;
-    bool written = false;
-    std::uint64_t data = 0;
-};
-static_assert(sizeof(DirLine) == 16, "an L2 way's payload is 16 bytes");
-
 /** Directory-protocol L2 cache controller. */
-class DirCache : public CacheController
+class DirCache : public MosiCache
 {
   public:
     DirCache(ProtoContext &ctx, NodeId id, const ProtocolParams &params);
 
-    void request(const ProcRequest &req) override;
     void handleMessage(const Message &msg) override;
-    bool hasPermission(Addr addr, MemOp op) const override;
     void resetState(const ProtocolParams &params,
                     std::uint64_t seed) override;
 
-    std::uint64_t applyFunctional(const ProcRequest &req,
-                                  FunctionalEnv &env) override;
-    void encodeWarmState(WireWriter &w) const override;
-    void decodeWarmState(WireReader &r) override;
-
-    DirCacheState state(Addr addr) const;
-
     bool
-    quiescent() const
+    quiescent() const override
     {
         return outstanding_.empty() && wbBuffer_.empty();
     }
@@ -91,46 +58,34 @@ class DirCache : public CacheController
         int acksReceived = 0;
     };
 
-    struct WbEntry
-    {
-        std::uint64_t data = 0;
-    };
+    void issueMiss(const ProcRequest &req, Addr ba) override;
+    std::uint64_t functionalMiss(const ProcRequest &req, Addr ba,
+                                 MosiLine *line,
+                                 FunctionalEnv &env) override;
+    void writeBack(Addr addr, std::uint64_t data) override;
 
     void handleFwd(const Message &msg);
     void handleInv(const Message &msg);
     void handleDataOrGrant(const Message &msg);
     void maybeComplete(Addr addr);
 
-    DirLine *allocLine(Addr addr);
-    void evictVictim(Addr addr, const DirLine &victim);
-
-    /** Fast-forward allocation: retire any victim by moving its state
-     *  functionally (no PutM message). */
-    DirLine *functionalAlloc(Addr ba, FunctionalEnv &env);
-    void respondData(NodeId dest, Addr addr, std::uint64_t value,
-                     bool exclusive, int ack_count);
-    void sendUnblock(Addr addr, bool exclusive);
-
-    ProtocolParams params_;
-    CacheArray<DirLine> l2_;
     BlockMap<Transaction> outstanding_;
-    BlockMap<WbEntry> wbBuffer_;
+    BlockMap<std::uint64_t> wbBuffer_;   ///< written-back data until wbAck
 };
 
 /**
- * The home directory controller: full-map sharer/owner state per block,
- * busy-queueing, invalidation fan-out, and the DRAM-resident directory
- * lookup latency.
+ * The home directory controller: the home serializer plus a full-map
+ * sharer set per block, invalidation fan-out, and the DRAM-resident
+ * directory lookup latency.
  */
-class DirMemory : public MemoryController
+class DirMemory : public HomeSerializer
 {
   public:
     DirMemory(ProtoContext &ctx, NodeId id, const ProtocolParams &params);
 
-    void handleMessage(const Message &msg) override;
-    std::uint64_t peekData(Addr addr) const override;
     void resetState(const ProtocolParams &params) override;
 
+    /** Written blocks, then the directory entries (owner, sharers). */
     void encodeWarmState(WireWriter &w) const override;
     void decodeWarmState(WireReader &r) override;
 
@@ -143,51 +98,27 @@ class DirMemory : public MemoryController
     };
     DirView view(Addr addr) const;
 
-    bool
-    quiescent() const
-    {
-        for (const auto &[a, e] : entries_) {
-            if (e.busy || !e.queue.empty())
-                return false;
-        }
-        return true;
-    }
-
   private:
-    /** Fast-forward reaches straight into the directory entries and
-     *  backing store. */
+    /** Fast-forward reaches straight into the sharer sets. */
     friend class DirCache;
-
-    struct DirEntry
-    {
-        NodeId owner = invalidNode;
-        std::set<NodeId> sharers;
-        bool busy = false;
-        NodeId pendingRequester = invalidNode;
-        SmallQueue<Message> queue;
-    };
-
-    DirEntry &entryFor(Addr addr);
 
     /** Directory access latency: DRAM unless perfectDirectory. */
     Tick dirLatency() const;
 
-    void processRequest(const Message &msg);
-    void handleUnblock(const Message &msg);
-    void handlePutM(const Message &msg);
-    void serviceNext(Addr addr);
+    void processRequest(const Message &req, HomeEntry &e) override;
+    void onUnblock(const Message &msg) override;
 
-    void sendMemoryData(const Message &req, bool exclusive,
-                        int ack_count);
-    void sendFwd(const Message &req, MsgType fwd_type, int ack_count);
-    void sendInvs(Addr addr, const std::set<NodeId> &targets,
-                  NodeId requester);
+    /** A block's sharer set (empty if it has none). */
+    const std::set<NodeId> &sharersOf(Addr ba) const;
+    void clearSharers(Addr ba);
+
+    void sendFwd(const Message &req, NodeId owner, MsgType fwd_type,
+                 int ack_count);
+    void sendInvs(const Message &req, const std::set<NodeId> &sharers);
     void sendGrant(const Message &req, int ack_count);
 
-    ProtocolParams params_;
-    BackingStore store_;
-    Dram dram_;
-    BlockMap<DirEntry> entries_;
+    /** Shared copies per block (possibly stale: S lines drop silently). */
+    BlockMap<std::set<NodeId>> sharers_;
 };
 
 } // namespace tokensim

@@ -28,57 +28,24 @@
 #define TOKENSIM_PROTO_HAMMER_HAMMER_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
-#include "mem/block_map.hh"
-#include "mem/cache.hh"
-#include "mem/dram.hh"
-#include "proto/controller.hh"
-#include "sim/small_queue.hh"
+#include "proto/mosi.hh"
 
 namespace tokensim {
 
-/** Stable MOSI states of a hammer cache line. */
-enum class HammerState : std::uint8_t
-{
-    I = 0,
-    S,
-    O,
-    M,
-};
-
-/** A hammer-protocol L2 line. */
-struct HammerLine
-{
-    HammerState state = HammerState::I;
-    bool written = false;
-    std::uint64_t data = 0;
-};
-static_assert(sizeof(HammerLine) == 16, "an L2 way's payload is 16 bytes");
-
 /** Hammer L2 cache controller. */
-class HammerCache : public CacheController
+class HammerCache : public MosiCache
 {
   public:
     HammerCache(ProtoContext &ctx, NodeId id,
                 const ProtocolParams &params);
 
-    void request(const ProcRequest &req) override;
     void handleMessage(const Message &msg) override;
-    bool hasPermission(Addr addr, MemOp op) const override;
     void resetState(const ProtocolParams &params,
                     std::uint64_t seed) override;
 
-    std::uint64_t applyFunctional(const ProcRequest &req,
-                                  FunctionalEnv &env) override;
-    void encodeWarmState(WireWriter &w) const override;
-    void decodeWarmState(WireReader &r) override;
-
-    HammerState state(Addr addr) const;
-
     bool
-    quiescent() const
+    quiescent() const override
     {
         return outstanding_.empty() && wbBuffer_.empty();
     }
@@ -97,82 +64,33 @@ class HammerCache : public CacheController
         std::uint64_t memData = 0;
     };
 
-    struct WbEntry
-    {
-        std::uint64_t data = 0;
-    };
+    void issueMiss(const ProcRequest &req, Addr ba) override;
+    std::uint64_t functionalMiss(const ProcRequest &req, Addr ba,
+                                 MosiLine *line,
+                                 FunctionalEnv &env) override;
+    void writeBack(Addr addr, std::uint64_t data) override;
 
     void handleProbe(const Message &msg);
     void handleResponse(const Message &msg);
     void maybeComplete(Addr addr);
-
-    HammerLine *allocLine(Addr addr);
-    void evictVictim(Addr addr, const HammerLine &victim);
-
-    /** Fast-forward allocation: retire any victim by moving its state
-     *  functionally (no PutM message). */
-    HammerLine *functionalAlloc(Addr ba, FunctionalEnv &env);
-    void respondData(NodeId dest, Addr addr, std::uint64_t value,
-                     bool exclusive);
     void respondAck(NodeId dest, Addr addr);
 
-    ProtocolParams params_;
-    CacheArray<HammerLine> l2_;
     BlockMap<Transaction> outstanding_;
-    BlockMap<WbEntry> wbBuffer_;
+    BlockMap<std::uint64_t> wbBuffer_;   ///< written-back data until wbAck
 };
 
 /**
- * Hammer home controller: per-block serialization, probe broadcast,
- * speculative memory read, and the last-owner writeback filter.
+ * Hammer home controller: the home serializer forwarding every request
+ * to every node (probe broadcast) alongside a speculative memory read.
  */
-class HammerMemory : public MemoryController
+class HammerMemory : public HomeSerializer
 {
   public:
     HammerMemory(ProtoContext &ctx, NodeId id,
                  const ProtocolParams &params);
 
-    void handleMessage(const Message &msg) override;
-    std::uint64_t peekData(Addr addr) const override;
-    void resetState(const ProtocolParams &params) override;
-
-    void encodeWarmState(WireWriter &w) const override;
-    void decodeWarmState(WireReader &r) override;
-
-    bool
-    quiescent() const
-    {
-        for (const auto &[a, e] : entries_) {
-            if (e.busy || !e.queue.empty())
-                return false;
-        }
-        return true;
-    }
-
   private:
-    /** Fast-forward reaches straight into the owner table and backing
-     *  store. */
-    friend class HammerCache;
-
-    struct HomeEntry
-    {
-        bool busy = false;
-        NodeId pendingRequester = invalidNode;
-        NodeId owner = invalidNode;   ///< last exclusive owner
-        SmallQueue<Message> queue;
-    };
-
-    HomeEntry &entryFor(Addr addr);
-
-    void processRequest(const Message &msg);
-    void handleUnblock(const Message &msg);
-    void handlePutM(const Message &msg);
-    void serviceNext(Addr addr);
-
-    ProtocolParams params_;
-    BackingStore store_;
-    Dram dram_;
-    BlockMap<HomeEntry> entries_;
+    void processRequest(const Message &req, HomeEntry &e) override;
 };
 
 } // namespace tokensim

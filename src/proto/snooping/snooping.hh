@@ -33,63 +33,25 @@
 #define TOKENSIM_PROTO_SNOOPING_SNOOPING_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "mem/block_map.hh"
-#include "mem/cache.hh"
-#include "mem/dram.hh"
-#include "proto/controller.hh"
-#include "sim/small_queue.hh"
+#include "proto/mosi.hh"
 
 namespace tokensim {
 
-/** Stable MOSI states of a snooping cache line. */
-enum class SnoopState : std::uint8_t
-{
-    I = 0,
-    S,
-    O,
-    M,
-};
-
-/** Human-readable state name. */
-const char *snoopStateName(SnoopState s);
-
-/** A snooping L2 line. */
-struct SnoopLine
-{
-    SnoopState state = SnoopState::I;
-    bool written = false;   ///< stored to while in M (migratory hint)
-    std::uint64_t data = 0;
-};
-static_assert(sizeof(SnoopLine) == 16, "an L2 way's payload is 16 bytes");
-
 /** Snooping L2 cache controller. */
-class SnoopCache : public CacheController
+class SnoopCache : public MosiCache
 {
   public:
     SnoopCache(ProtoContext &ctx, NodeId id,
                const ProtocolParams &params);
 
-    void request(const ProcRequest &req) override;
     void handleMessage(const Message &msg) override;
-    bool hasPermission(Addr addr, MemOp op) const override;
     void resetState(const ProtocolParams &params,
                     std::uint64_t seed) override;
 
-    std::uint64_t applyFunctional(const ProcRequest &req,
-                                  FunctionalEnv &env) override;
-    void encodeWarmState(WireWriter &w) const override;
-    void decodeWarmState(WireReader &r) override;
-
-    /** Stable state of a block (tests). */
-    SnoopState state(Addr addr) const;
-
     bool
-    quiescent() const
+    quiescent() const override
     {
         return outstanding_.empty() && wbBuffer_.empty();
     }
@@ -105,7 +67,7 @@ class SnoopCache : public CacheController
         bool dataExclusive = false;
         bool dataFromMemory = false;
         std::uint64_t dataValue = 0;
-        std::vector<Message> deferred;   ///< snoops to apply after fill
+        std::vector<Message> deferred{};   ///< snoops to apply after fill
     };
 
     /** A line between PutM issue and writeback-data send. */
@@ -115,23 +77,24 @@ class SnoopCache : public CacheController
         bool surrendered = false;   ///< ownership taken by a GetM
     };
 
+    void issueMiss(const ProcRequest &req, Addr ba) override;
+    std::uint64_t functionalMiss(const ProcRequest &req, Addr ba,
+                                 MosiLine *line,
+                                 FunctionalEnv &env) override;
+    void writeBack(Addr addr, std::uint64_t data) override;
+    void encodeSideState(WireWriter &w) const override;
+    void decodeSideState(WireReader &r) override;
+
+    /** Whether a miss fetches exclusively: stores always, loads when
+     *  the migratory predictor marks the block (a store trains it). */
+    bool fetchExclusive(Addr ba, MemOp op);
+
     void handleSnoop(const Message &msg);
     void handleOwnRequest(const Message &msg);
     void applySnoop(const Message &msg);
     void handleData(const Message &msg);
     void completeTrans(Addr addr);
 
-    SnoopLine *allocLine(Addr addr);
-    void evictVictim(Addr addr, const SnoopLine &victim);
-    void respondData(NodeId dest, Addr addr, std::uint64_t value,
-                     bool exclusive);
-
-    /** Allocate a line during fast-forward, retiring any victim by
-     *  moving its state functionally (no PutM broadcast). */
-    SnoopLine *functionalAlloc(Addr ba, FunctionalEnv &env);
-
-    ProtocolParams params_;
-    CacheArray<SnoopLine> l2_;
     BlockMap<Transaction> outstanding_;
     BlockMap<WbEntry> wbBuffer_;
 
@@ -143,43 +106,19 @@ class SnoopCache : public CacheController
  * Snooping home memory: observes the total order of requests for the
  * blocks homed here, keeps the per-block owner indication, and responds
  * when no cache owner exists. Writeback data that has been announced
- * (PutM ordered) but not yet arrived causes subsequent requests to
- * queue ("wb pending").
+ * (PutM ordered) but not yet arrived marks the block busy, and requests
+ * that memory must answer queue until it lands.
  */
-class SnoopMemory : public MemoryController
+class SnoopMemory : public MosiMemory
 {
   public:
     SnoopMemory(ProtoContext &ctx, NodeId id,
                 const ProtocolParams &params);
 
     void handleMessage(const Message &msg) override;
-    std::uint64_t peekData(Addr addr) const override;
-    void resetState(const ProtocolParams &params) override;
-
-    void encodeWarmState(WireWriter &w) const override;
-    void decodeWarmState(WireReader &r) override;
 
     /** True if memory would respond to a request for @p addr. */
     bool memoryOwns(Addr addr) const;
-
-  private:
-    /** Fast-forward reaches straight into the home's owner table and
-     *  backing store. */
-    friend class SnoopCache;
-    struct MemBlock
-    {
-        NodeId owner = invalidNode;   ///< invalidNode = memory owns
-        bool wbPending = false;
-        SmallQueue<Message> waiting;
-    };
-
-    MemBlock &blockFor(Addr addr);
-    void respondData(const Message &req);
-
-    ProtocolParams params_;
-    BackingStore store_;
-    Dram dram_;
-    BlockMap<MemBlock> blocks_;
 };
 
 } // namespace tokensim

@@ -1126,6 +1126,12 @@ warmedSnapshot(const SystemConfig &cfg, std::uint64_t ff_ops = 400)
     return saveWarmSnapshot(sys);
 }
 
+/** The protocol families with distinct warm-state decoders. */
+const ProtocolKind snapshotFamilies[] = {
+    ProtocolKind::snooping, ProtocolKind::directory,
+    ProtocolKind::hammer, ProtocolKind::tokenB,
+};
+
 TEST(WireSnapshot, EveryStateClassRoundTripsToIdenticalBytes)
 {
     // Canonical-encoding property per protocol family: decoding a
@@ -1133,11 +1139,7 @@ TEST(WireSnapshot, EveryStateClassRoundTripsToIdenticalBytes)
     // byte-identical buffer. (tokenD/M/A/Null share TokenB's codec
     // path — test_sampling.cc covers them; the families with distinct
     // warm-state codecs are what matters here.)
-    const ProtocolKind protos[] = {
-        ProtocolKind::snooping, ProtocolKind::directory,
-        ProtocolKind::hammer, ProtocolKind::tokenB,
-    };
-    for (ProtocolKind proto : protos) {
+    for (ProtocolKind proto : snapshotFamilies) {
         SCOPED_TRACE(protocolName(proto));
         const SystemConfig cfg = snapshotConfig(proto);
         const std::string snap = warmedSnapshot(cfg);
@@ -1256,24 +1258,27 @@ TEST(WireSnapshot, WrongShapeFingerprintIsATypedError)
 
 TEST(WireSnapshot, TruncationAtEveryByteOffsetIsATypedError)
 {
-    const SystemConfig cfg = snapshotConfig(ProtocolKind::tokenB);
-    const std::string full = warmedSnapshot(cfg, 200);
-    System sys(cfg);
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-        SCOPED_TRACE("cut=" + std::to_string(cut));
-        ASSERT_TRUE(sys.reset(cfg));
-        try {
-            loadWarmSnapshot(sys, full.substr(0, cut));
-            FAIL() << "truncated snapshot loaded";
-        } catch (const WireError &) {
-            // Ran off the end of a field: the common case.
-        } catch (const SnapshotError &) {
-            // Truncation inside the fingerprint varint shortens it to
-            // a valid smaller value: reads as a shape mismatch.
+    for (ProtocolKind proto : snapshotFamilies) {
+        SCOPED_TRACE(protocolName(proto));
+        const SystemConfig cfg = snapshotConfig(proto);
+        const std::string full = warmedSnapshot(cfg, 200);
+        System sys(cfg);
+        for (std::size_t cut = 0; cut < full.size(); ++cut) {
+            SCOPED_TRACE("cut=" + std::to_string(cut));
+            ASSERT_TRUE(sys.reset(cfg));
+            try {
+                loadWarmSnapshot(sys, full.substr(0, cut));
+                FAIL() << "truncated snapshot loaded";
+            } catch (const WireError &) {
+                // Ran off the end of a field: the common case.
+            } catch (const SnapshotError &) {
+                // Truncation inside the fingerprint varint shortens it
+                // to a valid smaller value: reads as a shape mismatch.
+            }
         }
+        ASSERT_TRUE(sys.reset(cfg));
+        EXPECT_NO_THROW(loadWarmSnapshot(sys, full));
     }
-    ASSERT_TRUE(sys.reset(cfg));
-    EXPECT_NO_THROW(loadWarmSnapshot(sys, full));
 }
 
 TEST(WireSnapshot, CorruptByteSweepNeverCrashesOrMisparses)
@@ -1287,22 +1292,25 @@ TEST(WireSnapshot, CorruptByteSweepNeverCrashesOrMisparses)
     // with the corrupted input is not the contract, idempotence of
     // the restored state is.) Anything else — a crash, an untyped
     // exception — fails the test.
-    const SystemConfig cfg = snapshotConfig(ProtocolKind::tokenB);
-    const std::string good = warmedSnapshot(cfg, 200);
-    System sys(cfg);
-    for (std::size_t i = 0; i < good.size(); ++i) {
-        SCOPED_TRACE("flip=" + std::to_string(i));
-        std::string bad = good;
-        bad[i] = static_cast<char>(bad[i] ^ 0x40);
-        ASSERT_TRUE(sys.reset(cfg));
-        try {
-            loadWarmSnapshot(sys, bad);
-            const std::string re = saveWarmSnapshot(sys);
+    for (ProtocolKind proto : snapshotFamilies) {
+        SCOPED_TRACE(protocolName(proto));
+        const SystemConfig cfg = snapshotConfig(proto);
+        const std::string good = warmedSnapshot(cfg, 200);
+        System sys(cfg);
+        for (std::size_t i = 0; i < good.size(); ++i) {
+            SCOPED_TRACE("flip=" + std::to_string(i));
+            std::string bad = good;
+            bad[i] = static_cast<char>(bad[i] ^ 0x40);
             ASSERT_TRUE(sys.reset(cfg));
-            loadWarmSnapshot(sys, re);
-            EXPECT_EQ(saveWarmSnapshot(sys), re);
-        } catch (const WireError &) {
-        } catch (const SnapshotError &) {
+            try {
+                loadWarmSnapshot(sys, bad);
+                const std::string re = saveWarmSnapshot(sys);
+                ASSERT_TRUE(sys.reset(cfg));
+                loadWarmSnapshot(sys, re);
+                EXPECT_EQ(saveWarmSnapshot(sys), re);
+            } catch (const WireError &) {
+            } catch (const SnapshotError &) {
+            }
         }
     }
 }
