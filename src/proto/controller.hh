@@ -16,7 +16,6 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "mem/block_map.hh"
 #include "net/message.hh"

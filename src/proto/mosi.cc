@@ -19,7 +19,7 @@ permits(const MosiLine *line, MemOp op)
 
 /** A hit: a store writes the line; either op returns its value. */
 std::uint64_t
-access(MosiLine &line, const ProcRequest &req)
+applyHit(MosiLine &line, const ProcRequest &req)
 {
     if (req.op == MemOp::store) {
         line.data = req.storeValue;
@@ -70,7 +70,7 @@ MosiCache::request(const ProcRequest &req)
     resp.reqId = req.reqId;
     resp.addr = req.addr;
     resp.op = req.op;
-    resp.value = access(*line, req);
+    resp.value = applyHit(*line, req);
     resp.issuedAt = ctx_.now();
     resp.completedAt = ctx_.now() + ctx_.l2.latency;
     ctx_.eq->scheduleIn(ctx_.l2.latency, [this, resp]() { respond(resp); });
@@ -83,7 +83,7 @@ MosiCache::applyFunctional(const ProcRequest &req, FunctionalEnv &env)
     assert(quiescent() && "fast-forward requires a quiescent cache");
     MosiLine *line = l2_.touch(ba);
     if (permits(line, req.op))
-        return access(*line, req);
+        return applyHit(*line, req);
     return functionalMiss(req, ba, line, env);
 }
 

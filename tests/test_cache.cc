@@ -86,8 +86,9 @@ TEST(CacheArray, InvalidateFreesWay)
     CacheArray<TestLine>::Victim v;
     c.allocate(0x000, &v);
     c.allocate(0x100, &v);
-    c.invalidate(0x000);
+    EXPECT_TRUE(c.invalidate(0x000));
     EXPECT_FALSE(c.contains(0x000));
+    EXPECT_FALSE(c.invalidate(0x000));   // absent: reported, not fatal
     // Allocation now reuses the freed way without eviction.
     c.allocate(0x200, &v);
     EXPECT_FALSE(v.valid);
