@@ -205,7 +205,8 @@ class HomeSerializer : public MosiMemory
 
   protected:
     /** Whom to forward to: act on request @p req, which now holds its
-     *  block (@p e is busy with the requester pending). */
+     *  block (@p e is busy with the requester pending). Must not add
+     *  entries: @p e stays in use after it returns. */
     virtual void processRequest(const Message &req, HomeEntry &e) = 0;
 
     /** The requester's unblock, after the owner record took it and
