@@ -1,24 +1,30 @@
 /**
  * @file
- * Exact block -> holder-set map: for every block, the set of caches
- * whose L2 currently holds a line for it.
+ * Block -> node-set map, with two users.
  *
- * Under token counting a line is present exactly when it holds at
- * least one token, so this is the set of caches a transient request
- * could possibly move tokens out of. The System owns one map and the
- * token caches keep it exact at the few places a line appears or
- * disappears (allocation, eviction, freeing, snapshot restore, reset).
- * Both engines then ask it instead of probing every cache's tag array:
- * the detailed engine to drop no-op transient snoops at non-holders,
- * the functional engine to walk only the actual holders of a block.
+ * Token holders (exact): for every block, the set of caches whose L2
+ * currently holds a line for it. Under token counting a line is
+ * present exactly when it holds at least one token, so this is the
+ * set of caches a transient request could possibly move tokens out
+ * of. The System owns one map and the token caches keep it exact at
+ * the few places a line appears or disappears (allocation, eviction,
+ * freeing, snapshot restore, reset). Both engines then ask it instead
+ * of probing every cache's tag array: the detailed engine to drop
+ * no-op transient snoops at non-holders, the functional engine to
+ * walk only the actual holders of a block.
+ *
+ * Directory sharers (possibly stale): each Directory home keeps its
+ * blocks' sharer sets here. S lines drop silently, so a recorded
+ * sharer may no longer hold the block; it still acknowledges an
+ * invalidation.
  *
  * Storage: one open-addressed table (linear probing, backward-shift
  * deletion, so churn leaves no tombstones to grow the table) from
- * block address to a 32-bit value. A block held by one cache stores
- * that cache's id inline; wider sharing spills to a pooled bitset row
- * of ceil(N/64) words, and collapses back inline when one holder is
- * left. The table is empty until the first add(), so protocols that
- * never use it pay nothing.
+ * block address to a 32-bit value. A block held by one node stores
+ * that node's id inline; wider sets spill to a pooled bitset row of
+ * ceil(N/64) words, and collapse back inline when one id is left.
+ * The table is empty until the first insert, so protocols that never
+ * use it pay nothing.
  */
 
 #ifndef TOKENSIM_MEM_HOLDER_MAP_HH
@@ -58,24 +64,40 @@ class HolderMap
     void
     add(Addr ba, NodeId id)
     {
+        [[maybe_unused]] const bool fresh = insert(ba, id);
+        assert(fresh && "holder added twice");
+    }
+
+    /** Record @p id as a member of @p ba's set; false (and no change)
+     *  if it already was. */
+    bool
+    insert(Addr ba, NodeId id)
+    {
         assert(id < words_ * 64 && id < rowBit);
-        ++entries_;
         const std::size_t i = findOrInsert(ba, id);
-        if (i == notFound)
-            return;   // new block, id stored inline
+        if (i == notFound) {
+            ++entries_;
+            return true;   // new block, id stored inline
+        }
         const std::uint32_t v = slots_[i].val;
         if (v & rowBit) {
             std::uint64_t &w = row(v)[id >> 6];
-            assert(!((w >> (id & 63)) & 1) && "holder added twice");
-            w |= std::uint64_t{1} << (id & 63);
-            return;
+            const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+            if (w & bit)
+                return false;
+            w |= bit;
+            ++entries_;
+            return true;
         }
-        assert(v != id && "holder added twice");
+        if (v == id)
+            return false;
         const std::uint32_t r = allocRow();
         std::uint64_t *bits = &rows_[r * words_];
         bits[v >> 6] |= std::uint64_t{1} << (v & 63);
         bits[id >> 6] |= std::uint64_t{1} << (id & 63);
         slots_[i].val = r | rowBit;
+        ++entries_;
+        return true;
     }
 
     /** Record that cache @p id no longer holds @p ba (it must). */
@@ -88,7 +110,7 @@ class HolderMap
         --entries_;
         const std::uint32_t v = slots_[i].val;
         if (!(v & rowBit)) {
-            erase(i);
+            eraseSlot(i);
             return;
         }
         std::uint64_t *bits = row(v);
@@ -150,6 +172,47 @@ class HolderMap
         }
     }
 
+    /** Remove every id of @p ba's set (a no-op if it has none). */
+    void
+    dropAll(Addr ba)
+    {
+        const std::size_t i = lookup(ba);
+        if (i == notFound)
+            return;
+        const std::uint32_t v = slots_[i].val;
+        if (v & rowBit) {
+            entries_ -= popcount(row(v));
+            freeRows_.push_back(v & ~rowBit);
+        } else {
+            --entries_;
+        }
+        eraseSlot(i);
+    }
+
+    /** Number of ids in @p ba's set. */
+    std::size_t
+    count(Addr ba) const
+    {
+        const std::size_t i = lookup(ba);
+        if (i == notFound)
+            return 0;
+        const std::uint32_t v = slots_[i].val;
+        return (v & rowBit) ? popcount(row(v)) : 1;
+    }
+
+    /** Apply @p fn(ba) to every block with a non-empty set, in table
+     *  order (sort before serializing). @p fn must not modify the
+     *  map. */
+    template <typename Fn>
+    void
+    forEachBlock(Fn &&fn) const
+    {
+        for (const Slot &sl : slots_) {
+            if (sl.key != emptyKey)
+                fn(sl.key);
+        }
+    }
+
     /** Blocks with at least one holder. */
     std::size_t blocks() const { return size_; }
 
@@ -191,6 +254,15 @@ class HolderMap
     row(std::uint32_t v) const
     {
         return &rows_[static_cast<std::size_t>(v & ~rowBit) * words_];
+    }
+
+    std::size_t
+    popcount(const std::uint64_t *bits) const
+    {
+        std::size_t n = 0;
+        for (std::size_t w = 0; w < words_; ++w)
+            n += static_cast<std::size_t>(__builtin_popcountll(bits[w]));
+        return n;
     }
 
     std::uint32_t
@@ -250,7 +322,7 @@ class HolderMap
     /** Remove slot @p i, shifting later members of its probe run
      *  back so every remaining key stays reachable. */
     void
-    erase(std::size_t i)
+    eraseSlot(std::size_t i)
     {
         const std::size_t mask = slots_.size() - 1;
         std::size_t hole = i;

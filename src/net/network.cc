@@ -18,6 +18,7 @@ Network::Network(EventQueue &eq, std::unique_ptr<Topology> topo,
     linkFree_.assign(topo_->links().size(), 0);
     deliveryRing_.resize(deliveryRingSize);
     bcastIndex_.resize(static_cast<std::size_t>(topo_->numNodes()));
+    cacheSerialization();
 }
 
 void
@@ -31,6 +32,7 @@ void
 Network::reset(const NetworkParams &params)
 {
     params_ = params;
+    cacheSerialization();
     std::fill(linkFree_.begin(), linkFree_.end(), 0);
     stats_.clear();
     orderSeq_ = 0;
@@ -54,6 +56,13 @@ Network::serializationTicks(std::uint32_t bytes) const
     return static_cast<Tick>(std::ceil(
         static_cast<double>(bytes) * static_cast<double>(ticksPerNs) /
         params_.bytesPerNs));
+}
+
+void
+Network::cacheSerialization()
+{
+    ctrlSer_ = serializationTicks(params_.ctrlBytes);
+    dataSer_ = serializationTicks(params_.dataBytes);
 }
 
 void
@@ -200,7 +209,7 @@ Network::unicast(Message msg)
     account(msg, path.size());
     // One path walk, one delivery event: the tail arrives one
     // serialization delay after the head clears the last link.
-    const Tick ser = serializationTicks(msg.size);
+    const Tick ser = serTicks(msg.size);
     const Tick head = reservePath(path, ser);
     const std::uint32_t slot = acquireSlot(msg);
     scheduleDelivery(msg.dest, slot, head + ser);
@@ -261,7 +270,7 @@ Network::transmitEdge(const TreeIndex *idx, int ei, std::uint32_t slot,
                       const std::shared_ptr<const MulticastState> &mc)
 {
     const TreeEdge &e = idx->edges[static_cast<std::size_t>(ei)];
-    const Tick ser = serializationTicks(slotRef(slot).msg.size);
+    const Tick ser = serTicks(slotRef(slot).msg.size);
     const Tick head = crossLink(e.link, ser);
 
     const int num_nodes = topo_->numNodes();
@@ -377,7 +386,7 @@ Network::broadcastOrdered(Message msg)
         sequenceAndFanOut(slot);
         return;
     }
-    const Tick ser = serializationTicks(msg.size);
+    const Tick ser = serTicks(msg.size);
     const Tick at_root = reservePath(up, ser) + ser;
     eq_.schedule(at_root, [this, slot]() { sequenceAndFanOut(slot); });
 }
@@ -415,7 +424,7 @@ Network::sequenceAndFanOut(std::uint32_t slot)
     // (tests/test_random_coherence.cc soaks catch it immediately).
     // Per-link serialization and occupancy are still charged exactly
     // as before — only the visibility instant is aligned.
-    const Tick ser = serializationTicks(ordered.size);
+    const Tick ser = serTicks(ordered.size);
     const int num_nodes = topo_->numNodes();
     headScratch_.resize(
         static_cast<std::size_t>(topo_->numVertices()));

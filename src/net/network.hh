@@ -234,6 +234,21 @@ class Network
     /** Fill in wire size and entry timestamp. */
     void finalize(Message &msg);
 
+    /** serializationTicks(@p bytes), read from the values cached for
+     *  the two wire sizes finalize() assigns. */
+    Tick
+    serTicks(std::uint32_t bytes) const
+    {
+        if (bytes == params_.ctrlBytes)
+            return ctrlSer_;
+        if (bytes == params_.dataBytes)
+            return dataSer_;
+        return serializationTicks(bytes);
+    }
+
+    /** Recompute ctrlSer_/dataSer_ from params_. */
+    void cacheSerialization();
+
     /** Count a message crossing @p nlinks links. */
     void account(const Message &msg, std::size_t nlinks);
 
@@ -354,6 +369,8 @@ class Network
     EventQueue &eq_;
     std::unique_ptr<Topology> topo_;
     NetworkParams params_;
+    Tick ctrlSer_ = 0;   ///< serializationTicks(params_.ctrlBytes)
+    Tick dataSer_ = 0;   ///< serializationTicks(params_.dataBytes)
     std::vector<NetworkEndpoint *> endpoints_;
     std::vector<Tick> linkFree_;
     /** In-flight message pool (see above), in fixed-size chunks. */

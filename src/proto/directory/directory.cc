@@ -181,7 +181,7 @@ DirCache::functionalMiss(const ProcRequest &req, Addr ba, MosiLine *line,
 {
     auto *mem = static_cast<DirMemory *>(env.memories[ctx_.home(ba)]);
     HomeEntry &e = mem->entryFor(ba);
-    assert(!e.busy && e.queue.empty() &&
+    assert(!e.busy && mem->waiting(ba).empty() &&
            "fast-forward requires an idle directory");
 
     // The home's records are settled before functionalFill(), whose
@@ -204,26 +204,27 @@ DirCache::functionalMiss(const ProcRequest &req, Addr ba, MosiLine *line,
                 // Migratory handoff: we take M, the owner drops.
                 oc->drop(ba);
                 e.owner = id_;
-                mem->clearSharers(ba);
+                mem->sharers_.dropAll(ba);
                 return functionalFill(ba, line, env, MosiState::M, false,
                                       value);
             }
             ol->state = MosiState::O;
         }
-        mem->sharers_[ba].insert(id_);
+        mem->sharers_.insert(ba, id_);
         return functionalFill(ba, line, env, MosiState::S, false, value);
     }
 
     // GetM: sharers invalidate, the owner (us on an upgrade, a peer,
     // or memory) supplies data, and the directory records us as the
     // exclusive owner.
-    for (NodeId s : mem->sharersOf(ba)) {
+    mem->sharers_.forEach(ba, [&](NodeId s) {
         auto *sc = static_cast<DirCache *>(env.caches[s]);
         // Silently dropped sharer copies just ack in detailed mode.
         if (s != id_ && sc->l2_.contains(ba))
             sc->drop(ba);
-    }
-    mem->clearSharers(ba);
+        return true;
+    });
+    mem->sharers_.dropAll(ba);
     if (e.owner != invalidNode && e.owner != id_) {
         auto *oc = static_cast<DirCache *>(env.caches[e.owner]);
         [[maybe_unused]] const MosiLine *ol = oc->l2_.find(ba);
@@ -243,7 +244,8 @@ DirCache::functionalMiss(const ProcRequest &req, Addr ba, MosiLine *line,
 
 DirMemory::DirMemory(ProtoContext &ctx, NodeId id,
                      const ProtocolParams &params)
-    : HomeSerializer(ctx, id, strformat("dirmem.%u", id), params)
+    : HomeSerializer(ctx, id, strformat("dirmem.%u", id), params),
+      sharers_(ctx.numNodes)
 {
 }
 
@@ -260,22 +262,6 @@ DirMemory::dirLatency() const
     return params_.perfectDirectory ? 0 : ctx_.dram.latency;
 }
 
-const std::set<NodeId> &
-DirMemory::sharersOf(Addr ba) const
-{
-    static const std::set<NodeId> none;
-    auto it = sharers_.find(ba);
-    return it == sharers_.end() ? none : it->second;
-}
-
-void
-DirMemory::clearSharers(Addr ba)
-{
-    auto it = sharers_.find(ba);
-    if (it != sharers_.end())
-        it->second.clear();
-}
-
 void
 DirMemory::processRequest(const Message &req, HomeEntry &e)
 {
@@ -288,9 +274,9 @@ DirMemory::processRequest(const Message &req, HomeEntry &e)
     }
 
     // GetM: every sharer but the requester invalidates, acking to it.
-    const std::set<NodeId> &sharers = sharersOf(req.addr);
-    const int acks = static_cast<int>(sharers.size() -
-                                      sharers.count(req.requester));
+    const int acks = static_cast<int>(
+        sharers_.count(req.addr) -
+        (sharers_.holds(req.addr, req.requester) ? 1 : 0));
     if (e.owner == invalidNode) {
         sendMemoryData(req, true, acks);
     } else if (e.owner == req.requester) {
@@ -299,16 +285,16 @@ DirMemory::processRequest(const Message &req, HomeEntry &e)
     } else {
         sendFwd(req, e.owner, MsgType::fwdGetM, acks);
     }
-    sendInvs(req, sharers);
+    sendInvs(req);
 }
 
 void
 DirMemory::onUnblock(const Message &msg)
 {
     if (msg.type == MsgType::unblockExclusive)
-        clearSharers(msg.addr);
+        sharers_.dropAll(msg.addr);
     else
-        sharers_[msg.addr].insert(msg.requester);
+        sharers_.insert(msg.addr, msg.requester);
 }
 
 void
@@ -329,11 +315,11 @@ DirMemory::sendFwd(const Message &req, NodeId owner, MsgType fwd_type,
 }
 
 void
-DirMemory::sendInvs(const Message &req, const std::set<NodeId> &sharers)
+DirMemory::sendInvs(const Message &req)
 {
-    for (NodeId t : sharers) {
+    sharers_.forEach(req.addr, [&](NodeId t) {
         if (t == req.requester)
-            continue;
+            return true;
         Message msg;
         msg.type = MsgType::inv;
         msg.cls = MsgClass::request;
@@ -342,7 +328,8 @@ DirMemory::sendInvs(const Message &req, const std::set<NodeId> &sharers)
         msg.dest = t;
         msg.requester = req.requester;
         sendAfter(ctx_.ctrlLatency + dirLatency(), msg);
-    }
+        return true;
+    });
 }
 
 void
@@ -370,8 +357,11 @@ DirMemory::view(Addr addr) const
         v.busy = it->second.busy;
         v.owner = it->second.owner;
     }
-    const std::set<NodeId> &sharers = sharersOf(ba);
-    v.sharers.assign(sharers.begin(), sharers.end());
+    v.waiting = waiting(ba);
+    sharers_.forEach(ba, [&](NodeId s) {
+        v.sharers.push_back(s);
+        return true;
+    });
     return v;
 }
 
@@ -387,10 +377,7 @@ DirMemory::encodeWarmState(WireWriter &w) const
         if (e.owner != invalidNode)
             live.push_back(a);
     }
-    for (const auto &[a, s] : sharers_) {
-        if (!s.empty())
-            live.push_back(a);
-    }
+    sharers_.forEachBlock([&](Addr a) { live.push_back(a); });
     std::sort(live.begin(), live.end());
     live.erase(std::unique(live.begin(), live.end()), live.end());
     w.varint(live.size());
@@ -398,14 +385,15 @@ DirMemory::encodeWarmState(WireWriter &w) const
         auto it = entries_.find(a);
         const NodeId owner =
             it == entries_.end() ? invalidNode : it->second.owner;
-        const std::set<NodeId> &sharers = sharersOf(a);
         w.varint(a);
         w.boolean(owner != invalidNode);
         if (owner != invalidNode)
             w.varint(owner);
-        w.varint(sharers.size());
-        for (NodeId s : sharers)   // std::set: already ascending
+        w.varint(sharers_.count(a));
+        sharers_.forEach(a, [&](NodeId s) {   // ascending
             w.varint(s);
+            return true;
+        });
     }
     putStructEnd(w);
 }
@@ -442,7 +430,7 @@ DirMemory::decodeWarmState(WireReader &r)
             if (j > 0 && s <= sprev)
                 throw WireError("directory sharers not ascending");
             sprev = static_cast<NodeId>(s);
-            sharers_[a].insert(sprev);
+            sharers_.insert(a, sprev);
         }
     }
     checkStructEnd(r, "directory memory warm state");

@@ -22,9 +22,9 @@
 #define TOKENSIM_PROTO_DIRECTORY_DIRECTORY_HH
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
+#include "mem/holder_map.hh"
 #include "proto/mosi.hh"
 
 namespace tokensim {
@@ -95,6 +95,7 @@ class DirMemory : public HomeSerializer
         bool busy = false;
         NodeId owner = invalidNode;   ///< invalidNode = memory owns
         std::vector<NodeId> sharers;
+        std::vector<NodeId> waiting;   ///< queued requesters, FIFO
     };
     DirView view(Addr addr) const;
 
@@ -108,17 +109,15 @@ class DirMemory : public HomeSerializer
     void processRequest(const Message &req, HomeEntry &e) override;
     void onUnblock(const Message &msg) override;
 
-    /** A block's sharer set (empty if it has none). */
-    const std::set<NodeId> &sharersOf(Addr ba) const;
-    void clearSharers(Addr ba);
-
     void sendFwd(const Message &req, NodeId owner, MsgType fwd_type,
                  int ack_count);
-    void sendInvs(const Message &req, const std::set<NodeId> &sharers);
+    /** Invalidate every recorded sharer of @p req's block but the
+     *  requester, in ascending node order. */
+    void sendInvs(const Message &req);
     void sendGrant(const Message &req, int ack_count);
 
     /** Shared copies per block (possibly stale: S lines drop silently). */
-    BlockMap<std::set<NodeId>> sharers_;
+    HolderMap sharers_;
 };
 
 } // namespace tokensim

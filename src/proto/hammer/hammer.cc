@@ -168,7 +168,7 @@ HammerCache::functionalMiss(const ProcRequest &req, Addr ba,
 {
     auto *mem = static_cast<HammerMemory *>(env.memories[ctx_.home(ba)]);
     HomeEntry &e = mem->entryFor(ba);
-    assert(!e.busy && e.queue.empty() &&
+    assert(!e.busy && mem->waiting(ba).empty() &&
            "fast-forward requires an idle home");
 
     // The owner record is settled before functionalFill(), whose victim

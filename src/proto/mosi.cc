@@ -267,6 +267,7 @@ MosiMemory::resetState(const ProtocolParams &params)
     store_.clear();
     dram_ = Dram(ctx_.dram);
     entries_.clear();
+    waiters_.clear();
 }
 
 std::uint64_t
@@ -278,8 +279,10 @@ MosiMemory::peekData(Addr addr) const
 bool
 MosiMemory::quiescent() const
 {
+    if (!waiters_.empty())
+        return false;
     for (const auto &[a, e] : entries_) {
-        if (e.busy || !e.queue.empty())
+        if (e.busy)
             return false;
     }
     return true;
@@ -290,6 +293,18 @@ MosiMemory::entryFor(Addr addr)
 {
     assert(ctx_.home(addr) == id_);
     return entries_[addr];
+}
+
+std::vector<NodeId>
+MosiMemory::waiting(Addr addr) const
+{
+    std::vector<NodeId> out;
+    auto it = waiters_.find(ctx_.blockAlign(addr));
+    if (it != waiters_.end()) {
+        for (const Message &m : it->second)
+            out.push_back(m.requester);
+    }
+    return out;
 }
 
 void
@@ -378,7 +393,7 @@ HomeSerializer::handleMessage(const Message &msg)
       case MsgType::putM: {
         HomeEntry &e = entryFor(msg.addr);
         if (e.busy)
-            e.queue.push_back(msg);
+            waiters_[msg.addr].push_back(msg);
         else
             start(msg, e);
         break;
@@ -443,17 +458,24 @@ HomeSerializer::handleUnblock(const Message &msg)
     onUnblock(msg);
     e.busy = false;
     e.pendingRequester = invalidNode;
-    serviceNext(e);
+    serviceNext(msg.addr, e);
 }
 
 void
-HomeSerializer::serviceNext(HomeEntry &e)
+HomeSerializer::serviceNext(Addr ba, HomeEntry &e)
 {
-    while (!e.busy && !e.queue.empty()) {
-        Message next = e.queue.front();
-        e.queue.pop_front();
+    auto it = waiters_.find(ba);
+    if (it == waiters_.end())
+        return;
+    // start() adds no waiters, so the queue stays in place.
+    SmallQueue<Message> &q = it->second;
+    while (!e.busy && !q.empty()) {
+        const Message next = q.front();
+        q.pop_front();
         start(next, e);
     }
+    if (q.empty())
+        waiters_.erase(it);
 }
 
 } // namespace tokensim

@@ -11,8 +11,9 @@
  * and home.
  *
  * MosiMemory is the home side all three share: the backing store, the
- * DRAM, a per-block entry with the owner record and a wait queue, the
- * DRAM-timed data reply and the owner-record snapshot codec.
+ * DRAM, a per-block entry with the owner record, a wait queue for
+ * each block that has waiters, the DRAM-timed data reply and the
+ * owner-record snapshot codec.
  * HomeSerializer adds the per-block serialization Directory and Hammer
  * share: a request queues while its block is busy, a writeback passes
  * the last-owner filter, and the requester's unblock releases the
@@ -26,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mem/block_map.hh"
 #include "mem/cache.hh"
@@ -145,14 +147,14 @@ class MosiCache : public CacheController
 /** A home's per-block record. */
 struct HomeEntry
 {
-    /** Requests for the block wait in `queue` while set: a
-     *  serializer's transaction is in flight, or (Snooping) an
+    /** Requests for the block wait in the home's wait queue while
+     *  set: a serializer's transaction is in flight, or (Snooping) an
      *  announced writeback's data has not arrived. */
     bool busy = false;
     NodeId pendingRequester = invalidNode;   ///< holder of a busy block
     NodeId owner = invalidNode;   ///< last exclusive owner; none = memory
-    SmallQueue<Message> queue;
 };
+static_assert(sizeof(HomeEntry) <= 12, "a home entry is 12 bytes");
 
 /** Home memory controller base of the classical protocols. */
 class MosiMemory : public MemoryController
@@ -174,6 +176,9 @@ class MosiMemory : public MemoryController
     /** The entry of a block homed here (fast-forward reaches in). */
     HomeEntry &entryFor(Addr addr);
 
+    /** Requesters queued on block @p addr, in arrival order. */
+    std::vector<NodeId> waiting(Addr addr) const;
+
     /**
      * Fast-forward's settled writeback of an owner victim: the data
      * lands only if @p from is still the recorded owner, the filter
@@ -190,6 +195,9 @@ class MosiMemory : public MemoryController
     BackingStore store_;
     Dram dram_;
     BlockMap<HomeEntry> entries_;
+    /** Requests waiting on a busy block, in arrival order; only
+     *  blocks with waiters have an entry. */
+    BlockMap<SmallQueue<Message>> waiters_;
 };
 
 /**
@@ -217,7 +225,8 @@ class HomeSerializer : public MosiMemory
     void start(const Message &msg, HomeEntry &e);
     void handlePutM(const Message &msg, HomeEntry &e);
     void handleUnblock(const Message &msg);
-    void serviceNext(HomeEntry &e);
+    /** Start @p ba's queued requests until one holds the block. */
+    void serviceNext(Addr ba, HomeEntry &e);
 };
 
 } // namespace tokensim

@@ -314,7 +314,7 @@ SnoopMemory::handleMessage(const Message &msg)
       case MsgType::getM:
         if (e.owner == invalidNode) {
             if (e.busy)
-                e.queue.push_back(msg);
+                waiters_[msg.addr].push_back(msg);
             else
                 sendMemoryData(msg, msg.type == MsgType::getM, 0);
         }
@@ -334,10 +334,14 @@ SnoopMemory::handleMessage(const Message &msg)
         store_.write(msg.addr, msg.data);
         dram_.access(ctx_.now());
         e.busy = false;
-        while (!e.queue.empty()) {
-            const Message queued = e.queue.front();
-            e.queue.pop_front();
-            sendMemoryData(queued, queued.type == MsgType::getM, 0);
+        if (auto it = waiters_.find(msg.addr); it != waiters_.end()) {
+            SmallQueue<Message> &q = it->second;
+            while (!q.empty()) {
+                const Message queued = q.front();
+                q.pop_front();
+                sendMemoryData(queued, queued.type == MsgType::getM, 0);
+            }
+            waiters_.erase(it);
         }
         break;
       default:

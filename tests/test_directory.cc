@@ -2,13 +2,15 @@
  * @file
  * Protocol tests for the full-map MOSI directory: home serialization,
  * forwarded requests, invalidation acks, the owner-upgrade grant path,
- * writeback/forward races, queueing without NACKs, and the
+ * writeback/forward races, queueing without NACKs and its FIFO order,
+ * sharer-set bookkeeping behind the invalidation ack count, and the
  * perfect-directory latency ablation of Figure 5a.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "proto/directory/directory.hh"
 #include "proto_test_util.hh"
@@ -257,6 +259,98 @@ TEST(Directory, SilentSharerDropStillAcksInvalidation)
     EXPECT_TRUE(r.wasMiss);
     EXPECT_EQ(dcache(d, 2).state(0x000), MosiState::M);
     d.drain();
+}
+
+std::uint64_t
+sent(const ProtoDriver &d, MsgType t)
+{
+    return d.sys->net().traffic().messagesByType[static_cast<std::size_t>(t)];
+}
+
+TEST(Directory, RepeatedGetSFromOneSharerRecordsItOnce)
+{
+    SystemConfig cfg = dirConfig();
+    cfg.l2 = CacheParams{512, 2, 64, nsToTicks(6)};
+    ProtoDriver d(cfg);
+    d.load(1, 0x000);
+    d.load(1, 0x100);
+    d.load(1, 0x200);   // silently evicts 0x000 from node 1
+    ASSERT_EQ(dcache(d, 1).state(0x000), MosiState::I);
+    d.load(1, 0x000);   // a second GetS from the same sharer
+    d.drain();
+    EXPECT_EQ(dmem(d, 0).view(0x000).sharers, std::vector<NodeId>({1}));
+
+    // The GetM's ack count names node 1 once: one invalidation, one
+    // ack, and the store completes (a double count would leave it
+    // waiting for an ack that never comes).
+    const std::uint64_t invs = sent(d, MsgType::inv);
+    const ProcResponse r = d.store(2, 0x000, 0x5);
+    EXPECT_TRUE(r.wasMiss);
+    d.drain();
+    EXPECT_EQ(sent(d, MsgType::inv) - invs, 1u);
+    EXPECT_EQ(dcache(d, 1).state(0x000), MosiState::I);
+    const auto v = dmem(d, 0).view(0x000);
+    EXPECT_EQ(v.owner, 2u);
+    EXPECT_TRUE(v.sharers.empty());
+}
+
+TEST(Directory, SharerUpgradeDoesNotCountItself)
+{
+    SystemConfig cfg = dirConfig();
+    cfg.proto.migratoryOpt = false;
+    ProtoDriver d(cfg);
+    d.load(1, kBlock);
+    d.load(2, kBlock);
+    d.drain();
+    ASSERT_EQ(dmem(d, 0).view(kBlock).sharers,
+              std::vector<NodeId>({1, 2}));
+
+    const std::uint64_t invs = sent(d, MsgType::inv);
+    const std::uint64_t acks = sent(d, MsgType::invAck);
+    const ProcResponse r = d.store(1, kBlock, 0x9);   // S -> M
+    EXPECT_TRUE(r.wasMiss);
+    d.drain();
+    EXPECT_EQ(sent(d, MsgType::inv) - invs, 1u);   // node 2 only
+    EXPECT_EQ(sent(d, MsgType::invAck) - acks, 1u);
+    EXPECT_EQ(dcache(d, 1).state(kBlock), MosiState::M);
+    EXPECT_EQ(dcache(d, 2).state(kBlock), MosiState::I);
+    const auto v = dmem(d, 0).view(kBlock);
+    EXPECT_EQ(v.owner, 1u);
+    EXPECT_TRUE(v.sharers.empty());
+}
+
+TEST(Directory, QueuedRequestsAreServedInArrivalOrder)
+{
+    ProtoDriver d(dirConfig());
+    DirMemory &home = dmem(d, 0);
+    EventQueue &eq = d.sys->eq();
+    const Tick guard = eq.curTick() + nsToTicks(10'000);
+
+    // Node 1 takes the block; nodes 2 then 3 arrive while it is busy.
+    d.issue(1, MemOp::store, kBlock, 0x1);
+    ASSERT_TRUE(eq.runUntil([&] { return home.view(kBlock).busy; },
+                            guard));
+    d.issue(2, MemOp::store, kBlock, 0x2);
+    ASSERT_TRUE(eq.runUntil(
+        [&] { return home.view(kBlock).waiting.size() == 1; }, guard));
+    d.issue(3, MemOp::store, kBlock, 0x3);
+    ASSERT_TRUE(eq.runUntil(
+        [&] { return home.view(kBlock).waiting.size() == 2; }, guard));
+    EXPECT_EQ(home.view(kBlock).waiting, std::vector<NodeId>({2, 3}));
+    EXPECT_FALSE(home.quiescent());
+
+    for (NodeId n = 1; n < 4; ++n)
+        ASSERT_TRUE(d.runUntilCompletions(n, 1)) << "node " << n;
+    d.drain();
+    EXPECT_LT(d.completions[1][0].completedAt,
+              d.completions[2][0].completedAt);
+    EXPECT_LT(d.completions[2][0].completedAt,
+              d.completions[3][0].completedAt);
+    const auto v = home.view(kBlock);
+    EXPECT_TRUE(v.waiting.empty());
+    EXPECT_EQ(v.owner, 3u);   // the last served holds M
+    EXPECT_TRUE(home.quiescent());
+    EXPECT_EQ(d.load(0, kBlock).value, 0x3u);
 }
 
 } // namespace

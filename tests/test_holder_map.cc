@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit tests of HolderMap, the exact block -> holder-set map the token
- * caches keep: inline single holders, the spill to pooled bitset rows
- * and back, row reuse, wide machines, iteration under mutation, and a
- * randomized differential check against std::map<Addr, std::set>.
+ * Unit tests of HolderMap, the block -> node-set map the token caches
+ * keep for holders and Directory homes keep for sharers: inline single
+ * holders, the spill to pooled bitset rows and back, row reuse, wide
+ * machines, iteration under mutation, the sharer-set operations
+ * (idempotent insert, dropAll, count, forEachBlock), and randomized
+ * differential checks against std::map<Addr, std::set>.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -197,6 +200,147 @@ TEST(HolderMap, MatchesReferenceUnderRandomChurn)
             : std::vector<NodeId>(it->second.begin(), it->second.end());
         ASSERT_EQ(holdersOf(m, ba), want) << "block " << ba;
     }
+}
+
+std::vector<Addr>
+blocksOf(const HolderMap &m)
+{
+    std::vector<Addr> out;
+    m.forEachBlock([&](Addr ba) { out.push_back(ba); });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(HolderMap, InsertToleratesAMemberAlreadyPresent)
+{
+    HolderMap m(64);
+    EXPECT_TRUE(m.insert(0x40, 3));
+    EXPECT_FALSE(m.insert(0x40, 3));   // inline duplicate
+    EXPECT_EQ(m.entries(), 1u);
+    EXPECT_EQ(m.count(0x40), 1u);
+
+    EXPECT_TRUE(m.insert(0x40, 9));    // spill
+    EXPECT_FALSE(m.insert(0x40, 3));   // row duplicates
+    EXPECT_FALSE(m.insert(0x40, 9));
+    EXPECT_EQ(m.entries(), 2u);
+    EXPECT_EQ(m.blocks(), 1u);
+    EXPECT_EQ(m.count(0x40), 2u);
+    EXPECT_EQ(holdersOf(m, 0x40), std::vector<NodeId>({3, 9}));
+}
+
+TEST(HolderMap, CountCoversAbsentInlineAndRowBlocks)
+{
+    HolderMap m(128);
+    EXPECT_EQ(m.count(0x40), 0u);
+    m.add(0x40, 100);
+    EXPECT_EQ(m.count(0x40), 1u);
+    m.add(0x40, 1);
+    m.add(0x40, 64);
+    EXPECT_EQ(m.count(0x40), 3u);
+    m.drop(0x40, 1);
+    EXPECT_EQ(m.count(0x40), 2u);
+    EXPECT_EQ(m.count(0x80), 0u);
+}
+
+TEST(HolderMap, DropAllForgetsInlineAndRowBlocks)
+{
+    HolderMap m(128);
+    m.dropAll(0x40);   // absent: no-op
+    EXPECT_EQ(m.blocks(), 0u);
+    EXPECT_EQ(m.entries(), 0u);
+
+    m.add(0x40, 5);                   // inline
+    for (NodeId id : {1u, 64u, 100u})
+        m.add(0x80, id);              // row A
+    m.add(0xc0, 7);
+    m.add(0xc0, 8);                   // row B
+    EXPECT_EQ(m.blocks(), 3u);
+    EXPECT_EQ(m.entries(), 6u);
+
+    m.dropAll(0x40);
+    EXPECT_EQ(m.count(0x40), 0u);
+    EXPECT_FALSE(m.holds(0x40, 5));
+    EXPECT_EQ(m.blocks(), 2u);
+    EXPECT_EQ(m.entries(), 5u);
+
+    m.dropAll(0x80);   // row A freed
+    EXPECT_TRUE(holdersOf(m, 0x80).empty());
+    EXPECT_EQ(m.blocks(), 1u);
+    EXPECT_EQ(m.entries(), 2u);
+    EXPECT_EQ(holdersOf(m, 0xc0), std::vector<NodeId>({7, 8}));
+
+    // A new spill reuses row A: none of its old bits may survive.
+    m.add(0x100, 2);
+    m.add(0x100, 3);
+    EXPECT_EQ(holdersOf(m, 0x100), std::vector<NodeId>({2, 3}));
+    EXPECT_FALSE(m.holds(0x100, 64));
+    EXPECT_FALSE(m.holds(0x100, 100));
+    EXPECT_EQ(m.count(0x100), 2u);
+    EXPECT_EQ(m.blocks(), 2u);
+    EXPECT_EQ(m.entries(), 4u);
+
+    // A dropped block starts over inline.
+    m.add(0x80, 9);
+    EXPECT_EQ(holdersOf(m, 0x80), std::vector<NodeId>({9}));
+}
+
+TEST(HolderMap, ForEachBlockVisitsEveryNonEmptySet)
+{
+    HolderMap m(64);
+    EXPECT_TRUE(blocksOf(m).empty());
+    m.add(0x200, 1);
+    m.add(0x40, 2);
+    m.add(0x40, 3);
+    m.add(0x1000, 4);
+    m.add(0x80, 5);
+    EXPECT_EQ(blocksOf(m), std::vector<Addr>({0x40, 0x80, 0x200, 0x1000}));
+
+    m.drop(0x200, 1);   // emptied one id at a time
+    m.dropAll(0x40);    // emptied at once
+    EXPECT_EQ(blocksOf(m), std::vector<Addr>({0x80, 0x1000}));
+    m.clear();
+    EXPECT_TRUE(blocksOf(m).empty());
+}
+
+TEST(HolderMap, SharerOperationsMatchReferenceUnderRandomChurn)
+{
+    // The directory's op mix: idempotent inserts, whole-set drops (an
+    // exclusive unblock) and single drops, checked through count(),
+    // holds(), forEach() and forEachBlock().
+    const int nodes = 96;
+    HolderMap m(nodes);
+    std::map<Addr, std::set<NodeId>> ref;
+    Rng rng(7);
+    for (int step = 0; step < 100000; ++step) {
+        const Addr ba = rng.below(3000) * 64;
+        const auto id = static_cast<NodeId>(rng.below(nodes));
+        const std::uint64_t op = rng.below(10);
+        if (op < 6) {
+            EXPECT_EQ(m.insert(ba, id), ref[ba].insert(id).second);
+        } else if (op < 8) {
+            m.dropAll(ba);
+            ref.erase(ba);
+        } else if (ref.count(ba) && ref[ba].count(id)) {
+            m.drop(ba, id);
+            ref[ba].erase(id);
+        }
+        if (ref.count(ba) && ref[ba].empty())
+            ref.erase(ba);
+        ASSERT_EQ(m.count(ba), ref.count(ba) ? ref[ba].size() : 0u);
+        ASSERT_EQ(m.holds(ba, id), ref.count(ba) && ref[ba].count(id));
+    }
+    std::size_t entries = 0;
+    std::vector<Addr> want_blocks;
+    for (const auto &[ba, s] : ref) {
+        entries += s.size();
+        want_blocks.push_back(ba);
+        ASSERT_EQ(holdersOf(m, ba),
+                  std::vector<NodeId>(s.begin(), s.end()))
+            << "block " << ba;
+    }
+    EXPECT_EQ(m.entries(), entries);
+    EXPECT_EQ(m.blocks(), ref.size());
+    EXPECT_EQ(blocksOf(m), want_blocks);
 }
 
 } // namespace

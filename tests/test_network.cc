@@ -185,6 +185,35 @@ TEST_F(NetworkTest, UnlimitedBandwidthRemovesSerialization)
     EXPECT_EQ(sinks[1]->received[1].at, 150u);
 }
 
+TEST_F(NetworkTest, ResetRecomputesSerialization)
+{
+    build("torus", 16);
+    NetworkParams p;
+    p.bytesPerNs = 1.6;
+    net->reset(p);
+    // 8 bytes at 1.6 GB/s = 50 ticks; 72 bytes = 450 ticks.
+    Tick t0 = eq.curTick();
+    net->unicast(ctrlMsg(0, 1));
+    eq.run();
+    ASSERT_EQ(sinks[1]->received.size(), 1u);
+    EXPECT_EQ(sinks[1]->received[0].at - t0, 150u + 50u);
+    Message data = ctrlMsg(0, 2);
+    data.hasData = true;
+    t0 = eq.curTick();
+    net->unicast(data);
+    eq.run();
+    ASSERT_EQ(sinks[2]->received.size(), 1u);
+    EXPECT_EQ(sinks[2]->received[0].at - t0, 300u + 450u);
+
+    p.unlimitedBandwidth = true;
+    net->reset(p);
+    t0 = eq.curTick();
+    net->unicast(ctrlMsg(0, 1));
+    eq.run();
+    ASSERT_EQ(sinks[1]->received.size(), 2u);
+    EXPECT_EQ(sinks[1]->received[1].at - t0, 150u);
+}
+
 TEST_F(NetworkTest, BroadcastReachesEveryoneIncludingSender)
 {
     build("torus", 16);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "proto/snooping/snooping.hh"
 #include "proto_test_util.hh"
 
@@ -244,6 +246,43 @@ TEST(Snooping, AllBroadcastsUseTheOrderedPath)
         topo.routeToRoot(2).size() + topo.downTree().size();
     EXPECT_EQ(d.sys->net().traffic().byteLinksOf(MsgClass::request),
               8u * expected_links);
+}
+
+TEST(Snooping, RequestsWaitingOnWritebackDataAreAnsweredInOrder)
+{
+    // Two loads ordered right behind an eviction's PutM reach memory
+    // long before its (here 720-byte) data: both wait, in order, and
+    // memory answers each once the data lands.
+    SystemConfig cfg = snoopConfig();
+    cfg.l2 = CacheParams{512, 2, 64, nsToTicks(6)};
+    cfg.net.dataBytes = 720;
+    ProtoDriver d(cfg);
+    SnoopMemory &home = smem(d, 0);
+    EventQueue &eq = d.sys->eq();
+    d.store(1, 0x000, 0x111);
+    d.store(1, 0x100, 0x222);
+    d.store(1, 0x200, 0x333);   // evicts 0x000: PutM, then its data
+    d.issue(3, MemOp::load, 0x000);
+    d.issue(2, MemOp::load, 0x000);
+    const Tick guard = eq.curTick() + nsToTicks(10'000);
+    ASSERT_TRUE(eq.runUntil(
+        [&] { return home.waiting(0x000).size() == 2; }, guard));
+    EXPECT_EQ(home.waiting(0x000), std::vector<NodeId>({3, 2}));
+    EXPECT_FALSE(home.quiescent());
+
+    ASSERT_TRUE(d.runUntilCompletions(2, 1));
+    ASSERT_TRUE(d.runUntilCompletions(3, 1));
+    EXPECT_EQ(d.completions[3][0].value, 0x111u);
+    EXPECT_EQ(d.completions[2][0].value, 0x111u);
+    EXPECT_FALSE(d.completions[3][0].cacheToCache);
+    EXPECT_FALSE(d.completions[2][0].cacheToCache);
+    // Answered in arrival order: node 3's data holds the shared root
+    // link first, and node 2's follows it.
+    EXPECT_LT(d.completions[3][0].completedAt,
+              d.completions[2][0].completedAt);
+    d.drain();
+    EXPECT_TRUE(home.waiting(0x000).empty());
+    EXPECT_TRUE(home.quiescent());
 }
 
 } // namespace
